@@ -25,13 +25,20 @@ Conventions baked into the formulas:
 Everything accepts a single (B, C) matrix; internal ``*_stack`` helpers used
 by the optimizer and the brute-force checks operate on (N, B, C) stacks with
 identical semantics.  The SVD is a deterministic, seed-free one-sided Jacobi
-(cyclic sweeps, relative off-diagonal criterion) rather than a library call,
-so results are bit-reproducible across platforms and the nuclear-norm path
-stays independent of the closed-form checks used in the tests.
+rather than a library call, so results are bit-reproducible across platforms
+and the nuclear-norm path stays independent of the closed-form checks used
+in the tests.  Tall matrices are first reduced to their square triangular
+factor by Householder QR (Drmac and Veselic 2008), and each sweep rotates
+the disjoint column pairs of one round-robin round at a time (Brent and Luk
+1985) until a sweep finds every pair orthogonal to a relative 1e-14.
+Single matrices and stacks go through the same path; no LAPACK routine is
+called.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Union
 
@@ -52,6 +59,8 @@ SV_ZERO_TOL = 1e-10
 _PAIR_GRAD_FLOOR = 1e-300
 
 _JACOBI_TOL = 1e-14
+# entries per working array when a stack is decomposed chunk by chunk
+_CHUNK_FLOATS = 2**16
 _DENOM_TOL = 1e-15
 
 
@@ -134,86 +143,144 @@ class GradOutput:
 # one-sided Jacobi SVD
 
 
+def _column_index(cols: tuple[int, ...]) -> Union[slice, np.ndarray]:
+    """``cols`` as a slice when evenly spaced, so numpy indexes with a view."""
+    step = cols[1] - cols[0] if len(cols) > 1 else 1
+    if all(b - a == step for a, b in zip(cols, cols[1:])):
+        stop = cols[-1] + step
+        return slice(cols[0], stop if stop >= 0 else None, step)
+    return np.array(cols)
+
+
+@functools.lru_cache(maxsize=None)
+def _round_robin(n: int) -> tuple[tuple[Union[slice, np.ndarray], Union[slice, np.ndarray]], ...]:
+    """Brent-Luk round-robin schedule: rounds of disjoint column pairs (i, j), i < j.
+
+    Every unordered pair of the n columns occurs in exactly one round.  An
+    odd n is padded with a dummy column whose pairs are dropped, so there
+    are n - 1 rounds for even n and n rounds for odd n.  Each round is
+    returned as (left, right) column indices.
+    """
+    size = n + n % 2
+    players = list(range(size))
+    rounds = []
+    for _ in range(size - 1):
+        half = zip(players[: size // 2], reversed(players[size // 2 :]))
+        pairs = sorted((min(a, b), max(a, b)) for a, b in half if max(a, b) < n)
+        if pairs:
+            left, right = zip(*pairs)
+            rounds.append((_column_index(left), _column_index(right)))
+        players = [players[0], players[-1]] + players[1:-1]
+    return tuple(rounds)
+
+
 def _jacobi_orthogonalize(mats: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, int]:
     """Rotate the columns of each (m, n) matrix in ``mats`` until orthogonal.
 
     ``mats`` has shape (N, m, n) with m >= n and is modified in place; the
-    accumulated right rotations are returned as (N, n, n).  Cyclic pair
-    order, so the computation is deterministic.
+    accumulated right rotations (N, n, n) and the number of sweeps are
+    returned.  A sweep runs the round-robin rounds in order and rotates all
+    pairs of a round at once, so the computation is deterministic.  Column
+    norms are computed once per sweep and updated in closed form after each
+    rotation, leaving one inner product per pair and round.
     """
-    n_mats, _, n = mats.shape
-    rots = np.tile(np.eye(n), (n_mats, 1, 1))
+    n_mats, m, n = mats.shape
+    # row j holds column j of the matrix followed by column j of the rotations
+    work = np.zeros((n_mats, n, m + n))
+    cols = work[:, :, :m]
+    cols[...] = mats.transpose(0, 2, 1)
+    work[:, :, m:] = np.eye(n)
+    norms = np.einsum("nkm,nkm->nk", cols, cols)
     # Rotation-invariant scale; inner products below this floor belong to
     # numerically-zero columns and are skipped (also keeps zeta finite).
-    floor = 1e-32 * np.einsum("nmk,nmk->n", mats, mats)
+    floor = 1e-32 * norms.sum(axis=1, keepdims=True)
+    rounds = _round_robin(n)
     for sweep in range(1, max_sweeps + 1):
         rotated = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                col_i = mats[:, :, i]
-                col_j = mats[:, :, j]
-                aa = np.einsum("nm,nm->n", col_i, col_i)
-                bb = np.einsum("nm,nm->n", col_j, col_j)
-                ab = np.einsum("nm,nm->n", col_i, col_j)
-                need = (np.abs(ab) > _JACOBI_TOL * np.sqrt(aa * bb)) & (np.abs(ab) > floor)
-                if not need.any():
-                    continue
-                rotated = True
-                safe_ab = np.where(need, ab, 1.0)
-                zeta = (bb - aa) / (2.0 * safe_ab)
-                sgn = np.where(zeta >= 0.0, 1.0, -1.0)
-                t = sgn / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                c = np.where(need, c, 1.0)[:, None]
-                s = np.where(need, s, 0.0)[:, None]
-                new_i = c * col_i - s * col_j
-                new_j = s * col_i + c * col_j
-                mats[:, :, i] = new_i
-                mats[:, :, j] = new_j
-                rot_i = rots[:, :, i].copy()
-                rot_j = rots[:, :, j]
-                rots[:, :, i] = c * rot_i - s * rot_j
-                rots[:, :, j] = s * rot_i + c * rot_j
+        for left, right in rounds:
+            x = work[:, left]
+            y = work[:, right]
+            ab = np.einsum("npm,npm->np", x[:, :, :m], y[:, :, :m])
+            aa = norms[:, left]
+            bb = norms[:, right]
+            need = np.abs(ab) > np.maximum(_JACOBI_TOL * np.sqrt(aa * bb), floor)
+            if not need.any():
+                continue
+            rotated = True
+            zeta = (bb - aa) / (2.0 * np.where(need, ab, 1.0))
+            t = np.where(need, np.copysign(1.0, zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta)), 0.0)
+            c = (1.0 + t * t) ** -0.5
+            s = c * t
+            t *= ab  # closed-form norm updates: aa - t ab and bb + t ab
+            norms[:, left] = np.maximum(aa - t, 0.0)
+            norms[:, right] = np.maximum(bb + t, 0.0)
+            c = c[:, :, None]
+            s = s[:, :, None]
+            new_x = c * x - s * y  # x and y may be views into work
+            work[:, right] = s * x + c * y
+            work[:, left] = new_x
         if not rotated:
-            return rots, sweep
+            mats[...] = cols.transpose(0, 2, 1)
+            return work[:, :, m:].transpose(0, 2, 1).copy(), sweep
+        norms = np.einsum("nkm,nkm->nk", cols, cols)
     raise ConvergenceError(f"Jacobi SVD did not converge within {max_sweeps} sweeps")
+
+
+def _householder_r(stack: np.ndarray) -> np.ndarray:
+    """Triangular factor R (N, n, n) of ``stack = Q @ R`` for each (m, n) matrix, m >= n.
+
+    Plain Householder reflections, one column at a time; a column whose
+    remaining part is already zero is left alone.
+    """
+    a = stack.copy()
+    n = a.shape[2]
+    for k in range(n):
+        x = a[:, k:, k]
+        norm = np.sqrt(np.einsum("nm,nm->n", x, x))
+        head = x[:, 0]
+        # v = x - alpha e1 with alpha = -sign(x0) |x|, so v.v = 2 |x| (|x| + |x0|)
+        v = x.copy()
+        v[:, 0] += np.where(head >= 0.0, norm, -norm)
+        vv = 2.0 * norm * (norm + np.abs(head))
+        scale = np.divide(2.0, vv, out=np.zeros_like(vv), where=vv > 0.0)
+        proj = np.matmul(v[:, None, :], a[:, k:, k:])[:, 0, :] * scale[:, None]
+        a[:, k:, k:] -= v[:, :, None] * proj[:, None, :]
+    return np.triu(a[:, :n, :])
+
+
+def _orthogonalized(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi-rotate an (N, m, n) stack, m >= n; returns (rotated, rotations V).
+
+    Tall matrices (m >= 2n, n >= 5) are first reduced to their n x n factor
+    R, so the rotated matrices are R @ V instead of work @ V.  Either way
+    their column norms are the singular values of ``work``.
+    """
+    _, m, n = work.shape
+    target = _householder_r(work) if m >= 2 * n and n >= 5 else work.copy()
+    rots, _ = _jacobi_orthogonalize(target, max_sweeps=100 * n)
+    return target, rots
 
 
 def _orthonormalize_columns(q: np.ndarray, needs_fill: np.ndarray) -> np.ndarray:
     """Re-orthonormalize columns in order, filling flagged ones deterministically.
 
-    Flagged columns (vanishing singular value) are replaced by the first
-    standard basis vector whose residual against the already-fixed columns
-    keeps more than half its length.  Two Gram-Schmidt passes per column.
+    A column is projected off the already-fixed columns twice (classical
+    Gram-Schmidt, twice is enough).  Flagged columns (vanishing singular
+    value), and columns that keep no more than half their length, are
+    replaced by the first standard basis vector whose residual keeps more
+    than half its length.
     """
     m, k = q.shape
     out = q.copy()
-    fixed: list[int] = []
     for idx in range(k):
-        if not needs_fill[idx]:
-            v = out[:, idx]
+        basis = out[:, :idx]
+        kept = [] if needs_fill[idx] else [q[:, idx]]
+        for v in itertools.chain(kept, (np.eye(1, m, cand)[0] for cand in range(m))):
             for _ in range(2):
-                for f in fixed:
-                    v = v - (out[:, f] @ v) * out[:, f]
-            norm = np.linalg.norm(v)
-            if norm <= 0.5:  # column collapsed onto earlier ones; refill instead
-                needs_fill = needs_fill.copy()
-                needs_fill[idx] = True
-            else:
-                out[:, idx] = v / norm
-                fixed.append(idx)
-                continue
-        for cand in range(m):
-            v = np.zeros(m)
-            v[cand] = 1.0
-            for _ in range(2):
-                for f in fixed:
-                    v = v - (out[:, f] @ v) * out[:, f]
+                v = v - basis @ (basis.T @ v)
             norm = np.linalg.norm(v)
             if norm > 0.5:
                 out[:, idx] = v / norm
-                fixed.append(idx)
                 break
         else:
             raise ConvergenceError("failed to complete an orthonormal basis")
@@ -223,29 +290,31 @@ def _orthonormalize_columns(q: np.ndarray, needs_fill: np.ndarray) -> np.ndarray
 def svd(P: np.ndarray) -> SvdResult:
     """Deterministic thin SVD of a prediction matrix.
 
-    One-sided Jacobi on the narrow side, sweep cap 100 * min(B, C).
-    Satisfies, for entries in [0, 1] at desk scale: exact reconstruction to
-    1e-9 * max(1, s[0]), orthonormal factor columns to 1e-9, descending
-    singular values.
+    One-sided Jacobi on the narrow side, sweep cap 100 * min(B, C).  When
+    the matrix is at least twice as long as it is narrow and the narrow side
+    is 5 or more, it is first reduced to its square triangular factor R by
+    Householder QR, Jacobi runs on R, and the long-side factor is recovered
+    as A @ V / sigma.  Each sweep rotates the disjoint column pairs of one
+    round-robin round at a time.  Satisfies, for entries in [0, 1] at desk
+    scale: exact reconstruction to 1e-9 * max(1, s[0]), orthonormal factor
+    columns to 1e-9, descending singular values.
     """
     arr = np.asarray(P, dtype=float)
     if arr.ndim != 2:
         raise ValueError("svd expects a 2-D matrix")
     n_rows, n_cols = arr.shape
     transpose = n_rows < n_cols
-    work = (arr.T if transpose else arr).copy()[None, :, :]
+    work = arr.T if transpose else arr
     k = min(n_rows, n_cols)
-    rots, _ = _jacobi_orthogonalize(work, max_sweeps=100 * k)
-    work = work[0]
+    rotated, rots = _orthogonalized(work[None, :, :])
     rots = rots[0]
-    sigma = np.linalg.norm(work, axis=0)
+    sigma = np.linalg.norm(rotated[0], axis=0)
     order = np.argsort(-sigma, kind="stable")
     sigma = sigma[order]
-    work = work[:, order]
     rots = rots[:, order]
     top = sigma[0] if k else 0.0
     fill = sigma <= SV_ZERO_TOL * max(1.0, top)
-    left = np.where(fill[None, :], 0.0, work / np.where(fill, 1.0, sigma)[None, :])
+    left = np.where(fill[None, :], 0.0, (work @ rots) / np.where(fill, 1.0, sigma)[None, :])
     left = _orthonormalize_columns(left, fill)
     if transpose:
         u, v = rots, left
@@ -260,12 +329,19 @@ def svd(P: np.ndarray) -> SvdResult:
 
 
 def _singular_values_stack(stack: np.ndarray) -> np.ndarray:
-    """Descending singular values for every matrix in an (N, B, C) stack."""
-    _, n_rows, n_cols = stack.shape
-    work = (stack.transpose(0, 2, 1) if n_rows < n_cols else stack).copy()
+    """Descending singular values for every matrix in an (N, B, C) stack.
+
+    The stack is processed in chunks of about _CHUNK_FLOATS entries so the
+    working arrays stay small however many matrices it holds.
+    """
+    n_mats, n_rows, n_cols = stack.shape
+    work = stack.transpose(0, 2, 1) if n_rows < n_cols else stack
     k = min(n_rows, n_cols)
-    _jacobi_orthogonalize(work, max_sweeps=100 * k)
-    sigma = np.sqrt(np.einsum("nmk,nmk->nk", work, work))
+    chunk = max(1, _CHUNK_FLOATS // max(1, n_rows * n_cols))
+    sigma = np.empty((n_mats, k))
+    for start in range(0, n_mats, chunk):
+        rotated, _ = _orthogonalized(work[start : start + chunk])
+        sigma[start : start + chunk] = np.sqrt(np.einsum("nmk,nmk->nk", rotated, rotated))
     return np.sort(sigma, axis=1)[:, ::-1]
 
 

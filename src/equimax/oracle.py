@@ -40,7 +40,6 @@ from .probmat import (
     DEFAULT_ENUM_BUDGET,
     BudgetError,
     class_sizes,
-    count_size_compositions,
     enumerate_size_compositions,
     is_one_hot_rows,
 )

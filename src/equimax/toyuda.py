@@ -19,7 +19,7 @@ for evaluation only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import IO, Optional
 
 import numpy as np
@@ -310,7 +310,3 @@ def train(config: ToyUdaConfig) -> ToyUdaResult:
         bias=bias,
     )
 
-
-def paired_runs(base: ToyUdaConfig, losses: dict[str, LossConfig]) -> dict[str, ToyUdaResult]:
-    """Train once per loss under an otherwise identical config and seed."""
-    return {name: train(replace(base, loss=cfg)) for name, cfg in losses.items()}
