@@ -38,20 +38,7 @@ def _parse_epsilon(text: str):
 def _read_input(path: str, renormalize: bool = False) -> np.ndarray:
     source = sys.stdin if path == "-" else path
     if renormalize:
-        if hasattr(source, "read"):
-            raw = [
-                [float(t) for t in line.split(",")]
-                for line in source.read().splitlines()
-                if line.strip() and not line.startswith("#")
-            ]
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                raw = [
-                    [float(t) for t in line.split(",")]
-                    for line in fh.read().splitlines()
-                    if line.strip() and not line.startswith("#")
-                ]
-        return probmat.validate(probmat.renormalize_rows(raw))
+        return probmat.validate(probmat.renormalize_rows(probmat.read_array_csv(source)))
     return probmat.read_matrix_csv(source)
 
 

@@ -12,27 +12,32 @@ classes), all written so that smaller is better:
             divided by a pairwise-overlap term that shrinks as predictions
             of different samples separate into different classes.
 
-Conventions baked into the formulas:
+Conventions baked into the formulas, for values and gradients alike:
 
 * A class with zero soft size contributes 0 to ``cws`` (its term is 0/0 in
   the raw formula; 0 is the continuous limit for r < 1 and is kept at
   r = 1 for uniformity).
+* The ``ns`` pair sum runs over ordered pairs of distinct samples; the
+  diagonal overlaps are excluded.
 * A zero pairwise overlap contributes 0 to the ``ns`` denominator for every
   r in [0, 1], including r = 0.  This deliberately diverges from the
   0^0 = 1 convention so that matrices whose rows occupy pairwise distinct
-  classes attain the exact optimum 1/alpha + epsilon*B.
+  classes attain the exact optimum 1/alpha + epsilon*B.  Overlaps at or
+  below 1e-300 contribute nothing to the ``ns`` gradient.
+* An ``ns`` denominator below 1e-15 raises ZeroDivisionError.
 
-Everything accepts a single (B, C) matrix; internal ``*_stack`` helpers used
-by the optimizer and the brute-force checks operate on (N, B, C) stacks with
-identical semantics.  The SVD is a deterministic, seed-free one-sided Jacobi
-rather than a library call, so results are bit-reproducible across platforms
-and the nuclear-norm path stays independent of the closed-form checks used
-in the tests.  Tall matrices are first reduced to their square triangular
-factor by Householder QR (Drmac and Veselic 2008), and each sweep rotates
-the disjoint column pairs of one round-robin round at a time (Brent and Luk
-1985) until a sweep finds every pair orthogonal to a relative 1e-14.
-Single matrices and stacks go through the same path; no LAPACK routine is
-called.
+Each of ``ms``, ``cwsm`` and ``nsm`` has one kernel over an (N, B, C) stack
+that returns the values and, when asked, the gradients; the single-matrix
+functions, the optimizer and the brute-force checks all go through it.
+
+The SVD is a deterministic, seed-free one-sided Jacobi rather than a library
+call, so results are bit-reproducible across platforms and the nuclear-norm
+path stays independent of the closed-form checks used in the tests.  Tall
+matrices are first reduced to their square triangular factor by Householder
+QR (Drmac and Veselic 2008), and each sweep rotates the disjoint column
+pairs of one round-robin round at a time (Brent and Luk 1985) until a sweep
+finds every pair orthogonal to a relative 1e-14.  Single matrices and stacks
+go through the same path; no LAPACK routine is called.
 """
 
 from __future__ import annotations
@@ -351,99 +356,23 @@ def nuclear_norm(P: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# loss values over stacks
+# loss kernels over stacks: one per loss, (values, gradients or None)
 
 
 def _squares_stack(stack: np.ndarray) -> np.ndarray:
     return np.einsum("nbc,nbc->n", stack, stack)
 
 
-def _ms_stack(stack: np.ndarray) -> np.ndarray:
-    return -_squares_stack(stack) / stack.shape[1]
+def _ms(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    n_rows = stack.shape[1]
+    return -_squares_stack(stack) / n_rows, (-2.0 * stack / n_rows if want_grad else None)
 
 
 def _bnm_stack(stack: np.ndarray) -> np.ndarray:
     return -_singular_values_stack(stack).sum(axis=1) / stack.shape[1]
 
 
-def _cws_stack(stack: np.ndarray, r: float) -> np.ndarray:
-    sq_mass = np.einsum("nbc,nbc->nc", stack, stack)
-    size = stack.sum(axis=1)
-    pos = size > 0.0
-    terms = np.zeros_like(size)
-    np.divide(sq_mass, np.power(size, r, where=pos, out=np.ones_like(size)), where=pos, out=terms)
-    return terms.sum(axis=1) / stack.shape[2]
-
-
-def _pairwise_power_sum(stack: np.ndarray, r: float) -> np.ndarray:
-    """sum over ordered sample pairs i != j of (row_i . row_j)^r, with 0^r = 0.
-
-    Row-blocked so the overlap tiles stay cache-resident at large B.
-    """
-    n_mats, n_rows, _ = stack.shape
-    # fixed ~512 KB overlap tile per matrix so per-element cost is uniform in B
-    block = max(1, min(n_rows, 65536 // n_rows))
-    total = np.zeros(n_mats)
-    rows = np.arange(n_rows)
-    trans = stack.transpose(0, 2, 1)
-    for start in range(0, n_rows, block):
-        part = stack[:, start : start + block, :]
-        overlap = np.matmul(part, trans)
-        np.maximum(overlap, 0.0, out=overlap)
-        span = rows[start : start + block]
-        if r == 0.0:
-            hits = overlap > 0.0
-            total += hits.sum(axis=(1, 2))
-            total -= hits[:, span - start, span].sum(axis=1)
-        else:
-            if r != 1.0:
-                np.power(overlap, r, out=overlap)
-            total += overlap.sum(axis=(1, 2))
-            total -= overlap[:, span - start, span].sum(axis=1)
-    return total
-
-
-def _ns_denominator_stack(stack: np.ndarray, r: float, alpha: float, squares: np.ndarray) -> np.ndarray:
-    if r == 1.0:
-        # sum_{i != j} overlap_ij == sum_c size_c^2 - squares, an O(BC) path
-        size = stack.sum(axis=1)
-        pair_sum = np.einsum("nc,nc->n", size, size) - squares
-    else:
-        pair_sum = _pairwise_power_sum(stack, r)
-    return pair_sum + alpha * squares
-
-
-def _ns_stack(stack: np.ndarray, r: float, alpha: float, epsilon: float) -> np.ndarray:
-    squares = _squares_stack(stack)
-    denom = _ns_denominator_stack(stack, r, alpha, squares)
-    if np.any(denom < _DENOM_TOL):
-        raise ZeroDivisionError(
-            f"normalized-squares denominator {float(denom.min())!r} below {_DENOM_TOL}"
-        )
-    return squares / denom + epsilon * squares
-
-
-def _loss_values_stack(kind: str, stack: np.ndarray, r: float, alpha: float, epsilon: float) -> np.ndarray:
-    if kind == "ms":
-        return _ms_stack(stack)
-    if kind == "bnm":
-        return _bnm_stack(stack)
-    if kind == "cwsm":
-        return -_cws_stack(stack, r)
-    if kind == "nsm":
-        return -_ns_stack(stack, r, alpha, epsilon)
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# gradients over stacks (of the loss, minimization orientation)
-
-
-def _ms_grad_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return _ms_stack(stack), -2.0 * stack / stack.shape[1]
-
-
-def _cwsm_grad_stack(stack: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+def _cwsm(stack: np.ndarray, r: float, want_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
     n_cols = stack.shape[2]
     sq_mass = np.einsum("nbc,nbc->nc", stack, stack)
     size = stack.sum(axis=1)
@@ -452,51 +381,76 @@ def _cwsm_grad_stack(stack: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarra
     terms = np.zeros_like(size)
     np.divide(sq_mass, pow_r, where=pos, out=terms)
     values = -terms.sum(axis=1) / n_cols
+    if not want_grad:
+        return values, None
     # d cws / dP_ic = (2 P_ic / size_c^r - r * sq_mass_c / size_c^(r+1)) / C
     coef_lin = np.where(pos, 1.0 / pow_r, 0.0)
     coef_const = np.zeros_like(size)
     np.divide(r * terms, size, where=pos, out=coef_const)
-    grads = -(2.0 * stack * coef_lin[:, None, :] - coef_const[:, None, :]) / n_cols
-    return values, grads
+    return values, -(2.0 * stack * coef_lin[:, None, :] - coef_const[:, None, :]) / n_cols
 
 
-def _nsm_grad_stack(
-    stack: np.ndarray, r: float, alpha: float, epsilon: float
-) -> tuple[np.ndarray, np.ndarray]:
-    n_rows = stack.shape[1]
+def _nsm(
+    stack: np.ndarray, r: float, alpha: float, epsilon: float, want_grad: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Negated normalized squares and, when asked, its gradient.
+
+    The pair sum over ordered sample pairs i != j of overlap_ij^r has an
+    O(BC) closed form at r = 1.  Otherwise one row-blocked pass over the
+    overlaps adds it up together with the gradient rows 2r * W @ P, where
+    W_ij = overlap_ij^(r-1) for i != j.
+    """
+    n_mats, n_rows, _ = stack.shape
     squares = _squares_stack(stack)
-    d_squares = 2.0 * stack
+    d_pair = None
     if r == 1.0:
+        # sum_{i != j} overlap_ij == sum_c size_c^2 - squares
         size = stack.sum(axis=1)
         pair_sum = np.einsum("nc,nc->n", size, size) - squares
-        d_pair = 2.0 * size[:, None, :] - d_squares
+        if want_grad:
+            d_pair = 2.0 * size[:, None, :] - 2.0 * stack
     else:
-        overlap = np.maximum(np.matmul(stack, stack.transpose(0, 2, 1)), 0.0)
-        idx = np.arange(n_rows)
-        pos = overlap > 0.0
-        powered = np.zeros_like(overlap)
-        np.power(overlap, r, where=pos, out=powered)
-        powered[:, idx, idx] = 0.0
-        pair_sum = powered.sum(axis=(1, 2))
-        if r == 0.0:
-            d_pair = np.zeros_like(stack)
-        else:
-            weights = np.zeros_like(overlap)
-            big = overlap > _PAIR_GRAD_FLOOR
-            np.power(overlap, r - 1.0, where=big, out=weights)
-            weights[:, idx, idx] = 0.0
-            d_pair = 2.0 * r * np.matmul(weights, stack)
+        # fixed ~512 KB overlap tile per matrix so per-element cost is uniform in B
+        block = max(1, min(n_rows, 65536 // n_rows))
+        pair_sum = np.zeros(n_mats)
+        d_pair = np.zeros_like(stack) if want_grad else None
+        rows = np.arange(n_rows)
+        trans = stack.transpose(0, 2, 1)
+        for start in range(0, n_rows, block):
+            overlap = np.matmul(stack[:, start : start + block, :], trans)
+            np.maximum(overlap, 0.0, out=overlap)
+            span = rows[start : start + block]
+            diag = (slice(None), span - start, span)
+            if want_grad and r > 0.0:
+                weights = np.zeros_like(overlap)
+                np.power(overlap, r - 1.0, where=overlap > _PAIR_GRAD_FLOOR, out=weights)
+                weights[diag] = 0.0
+                d_pair[:, start : start + block] = 2.0 * r * np.matmul(weights, stack)
+            if r == 0.0:
+                overlap = overlap > 0.0
+            else:
+                np.power(overlap, r, out=overlap)
+            pair_sum += overlap.sum(axis=(1, 2))
+            pair_sum -= overlap[diag].sum(axis=1)
     denom = pair_sum + alpha * squares
     if np.any(denom < _DENOM_TOL):
         raise ZeroDivisionError(
             f"normalized-squares denominator {float(denom.min())!r} below {_DENOM_TOL}"
         )
     values = squares / denom + epsilon * squares
+    if d_pair is None:
+        return -values, None
+    d_squares = 2.0 * stack
     d_denom = d_pair + alpha * d_squares
     grads = (
         d_squares * denom[:, None, None] - squares[:, None, None] * d_denom
     ) / (denom * denom)[:, None, None] + epsilon * d_squares
     return -values, -grads
+
+
+def _ns_stack(stack: np.ndarray, r: float, alpha: float, epsilon: float) -> np.ndarray:
+    """Positive normalized-squares values of a stack."""
+    return -_nsm(stack, r, alpha, epsilon, False)[0]
 
 
 def _bnm_grad_single(P: np.ndarray) -> GradOutput:
@@ -508,20 +462,33 @@ def _bnm_grad_single(P: np.ndarray) -> GradOutput:
     return GradOutput(value=float(-decomp.s.sum() / n_rows), grad=grad, exact=exact)
 
 
+def _loss_stack(
+    kind: str, stack: np.ndarray, r: float, alpha: float, epsilon: float, want_grad: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    if kind == "ms":
+        return _ms(stack, want_grad)
+    if kind == "cwsm":
+        return _cwsm(stack, r, want_grad)
+    if kind == "nsm":
+        return _nsm(stack, r, alpha, epsilon, want_grad)
+    if kind == "bnm":
+        if not want_grad:
+            return _bnm_stack(stack), None
+        outs = [_bnm_grad_single(stack[i]) for i in range(stack.shape[0])]
+        return np.array([o.value for o in outs]), np.stack([o.grad for o in outs])
+    raise ValueError(f"unknown loss kind {kind!r}")
+
+
+def _loss_values_stack(kind: str, stack: np.ndarray, r: float, alpha: float, epsilon: float) -> np.ndarray:
+    """Loss values for an (N, B, C) stack."""
+    return _loss_stack(kind, stack, r, alpha, epsilon, False)[0]
+
+
 def _loss_grads_stack(
     kind: str, stack: np.ndarray, r: float, alpha: float, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values and gradients for a stack; bnm falls back to a per-matrix loop."""
-    if kind == "ms":
-        return _ms_grad_stack(stack)
-    if kind == "cwsm":
-        return _cwsm_grad_stack(stack, r)
-    if kind == "nsm":
-        return _nsm_grad_stack(stack, r, alpha, epsilon)
-    if kind == "bnm":
-        outs = [_bnm_grad_single(stack[i]) for i in range(stack.shape[0])]
-        return np.array([o.value for o in outs]), np.stack([o.grad for o in outs])
-    raise ValueError(f"unknown loss kind {kind!r}")
+    return _loss_stack(kind, stack, r, alpha, epsilon, True)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +504,7 @@ def _as_stack(P: np.ndarray) -> np.ndarray:
 
 def ms(P: np.ndarray) -> float:
     """Mean negative squared confidence: -(1/B) sum_ic P_ic^2."""
-    return float(_ms_stack(_as_stack(P))[0])
+    return float(_ms(_as_stack(P), False)[0][0])
 
 
 def bnm(P: np.ndarray) -> float:
@@ -552,7 +519,7 @@ def cws(P: np.ndarray, r: float) -> float:
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must be in [0, 1], got {r}")
-    return float(_cws_stack(_as_stack(P), r)[0])
+    return -float(_cwsm(_as_stack(P), r, False)[0][0])
 
 
 def cwsm(P: np.ndarray, r: float) -> float:

@@ -2,9 +2,11 @@
 
 ``maximize`` ascends the negated loss: each start draws rows from the flat
 distribution on the simplex, moves along the analytic gradient, and
-re-projects row by row.  Steps that fail to improve the objective (within
-1e-10) are retried with a halved step, never accepted silently; this also
-absorbs non-ascent subgradient proposals from the nuclear-norm loss.
+re-projects row by row.  A step is accepted when it lowers the objective
+by at most 1e-10 (``ACCEPT_TOL``), so decreases that small are accepted
+along with gains; a step that lowers it by more is retried with a halved
+step.  The halving also absorbs non-ascent subgradient proposals from the
+nuclear-norm loss.
 
 ``surface`` evaluates a negated loss on a uniform grid over the two-sample,
 two-class family [[p1, 1-p1], [p2, 1-p2]], the smallest case in which the
@@ -21,7 +23,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .losses import LossConfig, _loss_grads_stack, _loss_values_stack
-from .probmat import project_rows
+from .probmat import project_rows, read_array_csv
 
 ACCEPT_TOL = 1e-10
 SURFACE_ARGMAX_TOL = 1e-6
@@ -264,14 +266,4 @@ def write_surface_csv(surf: SurfaceGrid, target: str | IO[str]) -> str | None:
 
 def read_surface_csv(source: str | IO[str]) -> np.ndarray:
     """Read back a surface CSV as an (N, 3) array of (p1, p2, value) rows."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    rows = [
-        [float(tok) for tok in line.split(",")]
-        for line in lines
-        if line.strip() and not line.startswith("#")
-    ]
-    return np.array(rows)
+    return read_array_csv(source)

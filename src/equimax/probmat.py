@@ -59,16 +59,20 @@ def validate(raw) -> np.ndarray:
     n_rows, n_cols = mat.shape
     if n_rows < 1 or n_cols < 2:
         raise DimensionError(f"need at least 1 row and 2 columns, got {n_rows} x {n_cols}")
-    for i in range(n_rows):
-        row = mat[i]
-        if not np.all(np.isfinite(row)):
+    finite = np.isfinite(mat)
+    outside = (mat < -ENTRY_TOL) | (mat > 1.0 + ENTRY_TOL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = mat.sum(axis=1)
+    # per row: non-finite first, then an entry outside [0, 1], then the sum
+    bad = ~finite.all(axis=1) | outside.any(axis=1) | (np.abs(sums - 1.0) > ROW_SUM_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not finite[i].all():
             raise DomainError(f"row {i} contains a non-finite entry")
-        if np.any(row < -ENTRY_TOL) or np.any(row > 1.0 + ENTRY_TOL):
-            j = int(np.argmax((row < -ENTRY_TOL) | (row > 1.0 + ENTRY_TOL)))
-            raise DomainError(f"row {i} entry {j} is {row[j]!r}, outside [0, 1]")
-        s = float(row.sum())
-        if abs(s - 1.0) > ROW_SUM_TOL:
-            raise DomainError(f"row {i} sums to {s!r}, expected 1 within {ROW_SUM_TOL}")
+        if outside[i].any():
+            j = int(np.argmax(outside[i]))
+            raise DomainError(f"row {i} entry {j} is {mat[i, j]!r}, outside [0, 1]")
+        raise DomainError(f"row {i} sums to {float(sums[i])!r}, expected 1 within {ROW_SUM_TOL}")
     mat.setflags(write=False)
     return mat
 
@@ -203,12 +207,20 @@ EXAMPLES_2X2 = {
 }
 
 
-def read_matrix_csv(source: str | IO[str]) -> np.ndarray:
-    """Read a prediction matrix from CSV and validate it.
+def read_array_csv(source: str | IO[str]) -> np.ndarray:
+    """Read a rectangular numeric CSV; the one parser behind every CSV reader.
 
-    One sample per line, comma-separated decimal probabilities with '.' as
-    the decimal separator; leading lines starting with '#' are skipped.
-    ``source`` is a path or an open text stream.
+    One row per line, comma-separated decimal numbers with '.' as the
+    decimal separator.  Blank lines are skipped, and so are lines starting
+    with '#' before the first data row.  ``source`` is a path or an open
+    text stream.  No probability validation: gradients and surfaces are
+    read with it too.
+
+    Raises
+    ------
+    DimensionError
+        For an unparseable line (a '#' line after the data included),
+        ragged rows, or input without data rows.
     """
     if hasattr(source, "read"):
         lines = source.read().splitlines()
@@ -231,34 +243,12 @@ def read_matrix_csv(source: str | IO[str]) -> np.ndarray:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise DimensionError(f"ragged CSV input, row widths {sorted(widths)}")
-    return validate(rows)
-
-
-def read_array_csv(source: str | IO[str]) -> np.ndarray:
-    """Read a rectangular numeric CSV (no probability validation).
-
-    Same format as the matrix CSV; used for files that are matrices but
-    not probability matrices, e.g. gradients.
-    """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    rows = []
-    for line in lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            rows.append([float(tok) for tok in stripped.split(",")])
-        except ValueError as exc:
-            raise DimensionError(f"unparseable CSV line {stripped!r}: {exc}") from None
-    if not rows:
-        raise DimensionError("CSV input contains no data rows")
-    if len({len(r) for r in rows}) != 1:
-        raise DimensionError("ragged CSV input")
     return np.array(rows)
+
+
+def read_matrix_csv(source: str | IO[str]) -> np.ndarray:
+    """Read a prediction matrix with :func:`read_array_csv` and validate it."""
+    return validate(read_array_csv(source))
 
 
 def write_matrix_csv(target: str | IO[str], mat: np.ndarray, header: str | None = None) -> None:

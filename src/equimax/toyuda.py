@@ -25,6 +25,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .losses import LossConfig, discriminability, equity_metric, gradient, loss_value
+from .probmat import read_array_csv
 
 DIVERGENCE_CE = 1e3
 
@@ -140,8 +141,6 @@ def write_trajectory_csv(result: ToyUdaResult, target: IO[str]) -> None:
 
 def read_trajectory_csv(source: str | IO[str]) -> np.ndarray:
     """Read a trajectory CSV back as an (epochs, 6) array of epoch,ce,lt,acc,equity,disc."""
-    from .probmat import read_array_csv
-
     rows = read_array_csv(source)
     if rows.shape[1] != 6:
         raise ValueError(f"expected 6 trajectory columns, got {rows.shape[1]}")

@@ -6,7 +6,7 @@ import pytest
 
 from equimax.cli import run
 from equimax.optimizer import read_surface_csv
-from equimax.probmat import EXAMPLES_4X2, read_matrix_csv, write_matrix_csv
+from equimax.probmat import DimensionError, EXAMPLES_4X2, read_array_csv, read_matrix_csv, write_matrix_csv
 
 
 @pytest.fixture
@@ -245,3 +245,31 @@ def test_toyuda_csv_round_trips_through_reader(tmp_path):
     rows = read_trajectory_csv(str(tmp_path / "run.csv"))
     assert rows.shape == (4, 6)
     assert np.array_equal(rows[:, 0], np.arange(4))
+
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [read_matrix_csv, read_array_csv, read_surface_csv, "eval --renormalize"],
+    ids=["read_matrix_csv", "read_array_csv", "read_surface_csv", "eval_renormalize"],
+)
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# header\n0.5,0.5\n# late comment\n0.5,0.5\n", "unparseable CSV line '# late comment'"),
+        ("0.5,0.5\n0.2,0.3,0.5\n", "ragged CSV input"),
+        ("0.5,0.5\n0.5,half\n", "unparseable CSV line '0.5,half'"),
+        ("", "no data rows"),
+    ],
+    ids=["comment_after_data", "ragged", "unparseable", "empty"],
+)
+def test_csv_readers_share_one_parser(reader, text, message, tmp_path, capsys):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    if reader == "eval --renormalize":
+        assert run(["eval", "--input", str(path), "--renormalize"]) == 1
+        assert message in capsys.readouterr().err
+    else:
+        with pytest.raises(DimensionError) as info:
+            reader(str(path))
+        assert message in str(info.value)

@@ -3,7 +3,7 @@ import pytest
 
 from equimax.losses import GradOutput, LossConfig, gradient, loss_value
 
-from conftest import fd_gradient, interior_matrix
+from conftest import fd_gradient, interior_matrix, random_matrix
 
 SMOOTH_CONFIGS = [
     LossConfig("ms"),
@@ -84,3 +84,26 @@ def test_gradient_value_agrees_with_loss_value(rng):
     for cfg in SMOOTH_CONFIGS + [LossConfig("bnm")]:
         mat = interior_matrix(rng, 4, 3)
         assert abs(gradient(mat, cfg).value - loss_value(mat, cfg)) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5])
+def test_nsm_multi_block_matches_dense_formula(r, rng):
+    # 300 rows are overlapped in two row blocks (65536 // 300 = 218 rows each)
+    mat = random_matrix(rng, 300, 4)
+    mat[:100, 2:] = 0.0  # rows on classes {0, 1} and rows on {2, 3}:
+    mat[100:200, :2] = 0.0  # their overlaps are exactly zero
+    mat /= mat.sum(axis=1, keepdims=True)
+    alpha, eps = 1.5, 1e-6
+    out = gradient(mat, LossConfig("nsm", r=r, alpha=alpha, epsilon=eps))
+
+    overlap = mat @ mat.T
+    np.fill_diagonal(overlap, 0.0)
+    pos = overlap > 0.0
+    powered = np.where(pos, overlap, 1.0) ** r * pos
+    weights = np.where(pos, overlap, 1.0) ** (r - 1.0) * pos
+    squares = np.sum(mat * mat)
+    denom = powered.sum() + alpha * squares
+    d_denom = 2.0 * r * weights @ mat + 2.0 * alpha * mat
+    want_grad = -((2.0 * mat * denom - squares * d_denom) / denom**2 + 2.0 * eps * mat)
+    assert out.value == pytest.approx(-(squares / denom + eps * squares), rel=1e-12)
+    assert np.allclose(out.grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())

@@ -76,6 +76,44 @@ class TestValidate:
             n_cols = int(rng.integers(2, 7))
             validate(random_matrix(rng, n_rows, n_cols))
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ([[0.6, 0.6], [np.nan, 1.0]], "row 0 sums to 1.2"),
+            ([[0.5, 0.5], [1.5, 0.2]], "row 1 entry 0 is"),
+            ([[0.5, 0.5], [np.nan, -0.5]], "row 1 contains a non-finite entry"),
+            ([[0.5, 0.5], [0.2, np.inf], [0.6, 0.6]], "row 1 contains a non-finite entry"),
+        ],
+    )
+    def test_first_offending_row_and_check_order(self, raw, message):
+        with pytest.raises(DomainError, match=message) as info:
+            validate(raw)
+        assert str(info.value) == _loop_validate_message(np.array(raw, dtype=float))
+
+    def test_messages_match_row_loop(self, rng):
+        for _ in range(200):
+            mat = random_matrix(rng, int(rng.integers(1, 9)), int(rng.integers(2, 6)))
+            for _ in range(int(rng.integers(1, 4))):
+                i, j = int(rng.integers(mat.shape[0])), int(rng.integers(mat.shape[1]))
+                mat[i, j] = rng.choice([np.nan, np.inf, -0.3, 1.4, mat[i, j] + 0.01])
+            with pytest.raises(DomainError) as info:
+                validate(mat)
+            assert str(info.value) == _loop_validate_message(mat)
+
+
+def _loop_validate_message(mat: np.ndarray) -> str:
+    """The row-by-row reference: the message of the first failing check."""
+    for i, row in enumerate(mat):
+        if not np.all(np.isfinite(row)):
+            return f"row {i} contains a non-finite entry"
+        if np.any(row < -probmat.ENTRY_TOL) or np.any(row > 1.0 + probmat.ENTRY_TOL):
+            j = int(np.argmax((row < -probmat.ENTRY_TOL) | (row > 1.0 + probmat.ENTRY_TOL)))
+            return f"row {i} entry {j} is {row[j]!r}, outside [0, 1]"
+        s = float(row.sum())
+        if abs(s - 1.0) > probmat.ROW_SUM_TOL:
+            return f"row {i} sums to {s!r}, expected 1 within {probmat.ROW_SUM_TOL}"
+    raise AssertionError("the reference loop found no offending row")
+
 
 def test_renormalize_rows():
     fixed = renormalize_rows([[0.6, 0.6], [2.0, 2.0]])
