@@ -143,6 +143,8 @@ def _cmd_optimize(args) -> int:
         print(",".join(_fmt(v) for v in row))
     print(f"class sizes: {[float(_fmt(s)) for s in probmat.class_sizes(result.best_matrix)]}")
     print(f"starts within 1e-9 of best: {int(np.sum(result.final_values >= result.best_value - 1e-9))}/{args.inits}")
+    counts = ", ".join(f"{why} {result.retire_reasons.count(why)}" for why in optimizer.RETIRE_REASONS)
+    print(f"retire reasons: {counts}")
     return 0
 
 

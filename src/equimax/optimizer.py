@@ -6,7 +6,11 @@ re-projects row by row.  A step is accepted when it lowers the objective
 by at most 1e-10 (``ACCEPT_TOL``), so decreases that small are accepted
 along with gains; a step that lowers it by more is retried with a halved
 step.  The halving also absorbs non-ascent subgradient proposals from the
-nuclear-norm loss.
+nuclear-norm loss.  A start retires for one of four reasons
+(``RETIRE_REASONS``): it converged (projected-gradient norm below
+``tol_grad``), it stalled (its value gained at most 1e-12, ``STALL_GAIN``,
+between two vertex polishes), no step scale improved it, or it reached the
+step cap.
 
 ``surface`` evaluates a negated loss on a uniform grid over the two-sample,
 two-class family [[p1, 1-p1], [p2, 1-p2]], the smallest case in which the
@@ -26,6 +30,8 @@ from .losses import LossConfig, _loss_grads_stack, _loss_values_stack
 from .probmat import project_rows, read_array_csv
 
 ACCEPT_TOL = 1e-10
+STALL_GAIN = 1e-12
+RETIRE_REASONS = ("converged", "stalled", "no improving step", "step cap")
 SURFACE_ARGMAX_TOL = 1e-6
 
 
@@ -54,7 +60,10 @@ class AscentResult:
 
     Values are of the negated loss (maximization orientation).
     ``halving_events`` counts proposals that needed at least one step
-    halving before acceptance.
+    halving before acceptance.  ``retire_reasons`` names, per start, the
+    one of ``RETIRE_REASONS`` that ended it: converged, stalled (at most
+    ``STALL_GAIN`` gained between two vertex polishes), no improving step,
+    or step cap.
     """
 
     best_matrix: np.ndarray
@@ -63,6 +72,7 @@ class AscentResult:
     final_matrices: np.ndarray
     accepted_steps: np.ndarray
     halving_events: int
+    retire_reasons: list[str]
     histories: Optional[list] = None
 
 
@@ -76,12 +86,20 @@ def maximize(
     """Maximize the negated loss over the product of row simplices.
 
     Deterministic for a fixed seed.  All starts advance in lockstep as one
-    (inits, B, C) stack; a start retires when its projected-gradient norm
-    at the nominal step size falls below ``tol_grad`` or no step scale
-    improves its value.  Each start's final iterate gets a value-guarded
-    vertex polish (rows snapped to their argmax corner when that does not
-    lower the value).  The best final iterate is chosen by value, ties
-    broken by lexicographic matrix order.
+    (inits, B, C) stack.  Every ``polish_every`` steps the active starts get
+    a value-guarded vertex polish (rows snapped to their argmax corner when
+    that does not lower the value), and so does every final iterate.  A
+    start retires when
+
+    * it converged: its projected-gradient norm at the nominal step size
+      falls below ``tol_grad``;
+    * it stalled: at a polish, its value gained at most ``STALL_GAIN``
+      since the previous polish;
+    * no step scale down to ``max_halvings`` halvings improves its value;
+    * or it reached the step cap.
+
+    The best final iterate is chosen by value, ties broken by lexicographic
+    matrix order.
     """
     cfg = cfg or AscentConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -91,6 +109,8 @@ def maximize(
     values = -_loss_values_stack(kind, points, r, alpha, eps)
     active = np.ones(cfg.inits, dtype=bool)
     accepted = np.zeros(cfg.inits, dtype=int)
+    reasons = np.full(cfg.inits, "step cap", dtype=object)
+    checkpoint = values.copy()
     halving_events = 0
     histories = [[float(v)] for v in values] if record_history else None
 
@@ -111,11 +131,20 @@ def maximize(
         points[rows_sel[keep]] = snapped[keep]
         values[rows_sel[keep]] = snap_vals[keep]
 
+    def retire(sel: np.ndarray, reason: str) -> None:
+        active[sel] = False
+        reasons[sel] = reason
+
     for outer in range(cfg.steps):
+        if outer and outer % cfg.polish_every == 0:
+            idx = np.nonzero(active)[0]
+            polish(idx)
+            # a start that keeps accepting steps of (almost) no gain would
+            # otherwise spin, halving all the way down, to the step cap
+            retire(idx[values[idx] - checkpoint[idx] <= STALL_GAIN], "stalled")
+            checkpoint = values.copy()
         if not active.any():
             break
-        if outer and outer % cfg.polish_every == 0:
-            polish(np.nonzero(active)[0])
         idx = np.nonzero(active)[0]
         current = points[idx]
         cur_vals = values[idx]
@@ -124,8 +153,7 @@ def maximize(
         candidate = project_rows(current + cfg.step_size * direction)
         moved = np.linalg.norm((candidate - current).reshape(idx.size, -1), axis=1)
         converged = moved / cfg.step_size < cfg.tol_grad
-        if converged.any():
-            active[idx[converged]] = False
+        retire(idx[converged], "converged")
         cand_vals = -_loss_values_stack(kind, candidate, r, alpha, eps)
         pending = ~converged
         step = np.full(idx.size, cfg.step_size)
@@ -145,7 +173,7 @@ def maximize(
             if depth == cfg.max_halvings:
                 # no improving step at any scale: a local maximum of the
                 # projection arc, so this start is finished
-                active[idx[pending]] = False
+                retire(idx[pending], "no improving step")
                 break
             halved |= pending
             step[pending] /= 2.0
@@ -173,6 +201,7 @@ def maximize(
         final_matrices=points.copy(),
         accepted_steps=accepted,
         halving_events=halving_events,
+        retire_reasons=reasons.tolist(),
         histories=histories,
     )
 

@@ -131,6 +131,12 @@ class TestOptimize:
         assert "best value (negated loss): 1.41421" in out
         assert "class sizes: [2.0, 2.0]" in out
 
+    def test_retire_reason_counts(self, capsys):
+        argv = ["optimize", "--loss", "nsm", "--r", "0.5", "--epsilon", "1e-6", "--b", "3", "--c", "3"]
+        assert run(argv + ["--inits", "48", "--steps", "600"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "retire reasons: converged 46, stalled 1, no improving step 1, step cap 0"
+
 
 class TestToyuda:
     def test_writes_trajectories(self, tmp_path, capsys, monkeypatch):

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from equimax import optimizer
 from equimax.losses import LossConfig, loss_value
 from equimax.optimizer import (
+    RETIRE_REASONS,
     AscentConfig,
     SurfaceGrid,
     gradient_profile,
@@ -68,6 +70,46 @@ class TestMaximize:
         cfg = LossConfig("nsm", r=0.5, alpha=2.0, epsilon=1e-6)
         res = maximize(cfg, 3, 3, FAST)
         assert abs(res.best_value - (-loss_value(res.best_matrix, cfg))) <= 1e-12
+
+
+class TestRetire:
+    # nsm r=0.5 at 3x3, default seed: without the stall rule one start
+    # spins at a non-vertex point to the step cap (2000 steps, 3935 halvings)
+    STALL_CASE = LossConfig("nsm", r=0.5, alpha=1.0, epsilon=1e-6)
+
+    @pytest.mark.parametrize(
+        "cfg", [AscentConfig(inits=48, steps=600), AscentConfig()], ids=["48x600", "default"]
+    )
+    def test_stalled_start_retires_with_same_optimum(self, cfg):
+        res = maximize(self.STALL_CASE, 3, 3, cfg)
+        assert res.accepted_steps.max() < cfg.steps
+        assert "stalled" in res.retire_reasons
+        assert set(res.retire_reasons) <= set(RETIRE_REASONS)
+        assert res.best_value == 1.000003
+        assert np.array_equal(res.best_matrix, [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+
+    def test_step_cap_reason(self):
+        res = maximize(LossConfig("nsm", r=1.0, epsilon=0.0), 3, 3, AscentConfig(inits=4, steps=10))
+        assert res.retire_reasons == ["step cap"] * 4
+
+    def test_stall_rule_leaves_best_iterate_unchanged(self, monkeypatch):
+        cases = [LossConfig("ms"), LossConfig("bnm")] + [
+            LossConfig(kind, r=r, epsilon=0.0) for kind in ("cwsm", "nsm") for r in (0.0, 0.5, 1.0)
+        ]
+        stalled = 0
+        for loss_cfg in cases:
+            for shape in ((2, 2), (3, 3), (3, 4)):
+                for seed in (0, 1):
+                    cfg = AscentConfig(inits=12, steps=100, seed=seed)
+                    with_rule = maximize(loss_cfg, *shape, cfg)
+                    monkeypatch.setattr(optimizer, "STALL_GAIN", -math.inf)
+                    without = maximize(loss_cfg, *shape, cfg)
+                    monkeypatch.undo()
+                    assert with_rule.best_value == without.best_value
+                    assert np.array_equal(with_rule.best_matrix, without.best_matrix)
+                    assert "stalled" not in without.retire_reasons
+                    stalled += with_rule.retire_reasons.count("stalled")
+        assert stalled > 0  # the rule fired at least once (nsm r=0.5, 3x4, seed 0)
 
 
 class TestSurface:
