@@ -50,14 +50,15 @@ def _cmd_eval(args) -> int:
     )
     cws_val = losses.cws(mat, args.r)
     ns_val = losses.ns(mat, args.r, args.alpha, eps)
+    bnm_val = losses.bnm(mat)
     print(f"rows: {n_rows}  cols: {n_cols}")
     print(f"ms: {_fmt(losses.ms(mat))}")
-    print(f"bnm: {_fmt(losses.bnm(mat))}")
+    print(f"bnm: {_fmt(bnm_val)}")
     print(f"cws(r={_fmt(args.r)}): {_fmt(cws_val)}")
     print(f"cwsm(r={_fmt(args.r)}): {_fmt(-cws_val)}")
     print(f"ns(r={_fmt(args.r)}, alpha={_fmt(args.alpha)}, epsilon={_fmt(eps)}): {_fmt(ns_val)}")
     print(f"nsm(r={_fmt(args.r)}, alpha={_fmt(args.alpha)}, epsilon={_fmt(eps)}): {_fmt(-ns_val)}")
-    print(f"nuclear_norm: {_fmt(losses.nuclear_norm(mat))}")
+    print(f"nuclear_norm: {_fmt(-n_rows * bnm_val)}")
     print(f"discriminability: {_fmt(losses.discriminability(mat))}")
     print(f"equity: {_fmt(losses.equity_metric(mat))}")
     return 0

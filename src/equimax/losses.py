@@ -26,9 +26,11 @@ Conventions baked into the formulas, for values and gradients alike:
   below 1e-300 contribute nothing to the ``ns`` gradient.
 * An ``ns`` denominator below 1e-15 raises ZeroDivisionError.
 
-Each of ``ms``, ``cwsm`` and ``nsm`` has one kernel over an (N, B, C) stack
-that returns the values and, when asked, the gradients; the single-matrix
-functions, the optimizer and the brute-force checks all go through it.
+Each of the four losses has one kernel over an (N, B, C) stack that returns
+the values and, when asked, the gradients; the single-matrix functions, the
+optimizer and the brute-force checks all go through it.  The ``bnm`` kernel
+reads the singular values and the gradient -U V^T / B off one Jacobi pass
+per matrix and also flags which gradients are exact.
 
 The SVD is a deterministic, seed-free one-sided Jacobi rather than a library
 call, so results are bit-reproducible across platforms and the nuclear-norm
@@ -292,6 +294,40 @@ def _orthonormalize_columns(q: np.ndarray, needs_fill: np.ndarray) -> np.ndarray
     return out
 
 
+def _jacobi_chunks(stack: np.ndarray):
+    """Jacobi-rotate an (N, B, C) stack in chunks of about _CHUNK_FLOATS entries.
+
+    Yields (matrix slice, oriented chunk (n, m, k) with m >= k, rotations V,
+    unsorted singular values) per chunk, so the working arrays stay small
+    however many matrices the stack holds.  Wide matrices are transposed.
+    """
+    n_mats, n_rows, n_cols = stack.shape
+    work = stack.transpose(0, 2, 1) if n_rows < n_cols else stack
+    chunk = max(1, _CHUNK_FLOATS // max(1, n_rows * n_cols))
+    for start in range(0, n_mats, chunk):
+        part = work[start : start + chunk]
+        rotated, rots = _orthogonalized(part)
+        yield slice(start, start + chunk), part, rots, np.sqrt(np.einsum("nmk,nmk->nk", rotated, rotated))
+
+
+def _sorted_factors(
+    part: np.ndarray, rots: np.ndarray, sigma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sort one chunk's factors by descending singular value.
+
+    Returns (sigma, rotations V, left factor A V / sigma, fill) for the
+    oriented chunk A; ``fill`` marks singular values at or below
+    SV_ZERO_TOL * max(1, sigma_0), whose left columns are zero.
+    """
+    order = np.argsort(-sigma, axis=1, kind="stable")
+    sigma = np.take_along_axis(sigma, order, axis=1)
+    rots = np.take_along_axis(rots, order[:, None, :], axis=2)
+    fill = sigma <= SV_ZERO_TOL * np.maximum(1.0, sigma[:, :1])
+    left = np.matmul(part, rots) / np.where(fill, 1.0, sigma)[:, None, :]
+    left[np.broadcast_to(fill[:, None, :], left.shape)] = 0.0
+    return sigma, rots, left, fill
+
+
 def svd(P: np.ndarray) -> SvdResult:
     """Deterministic thin SVD of a prediction matrix.
 
@@ -303,29 +339,19 @@ def svd(P: np.ndarray) -> SvdResult:
     round-robin round at a time.  Satisfies, for entries in [0, 1] at desk
     scale: exact reconstruction to 1e-9 * max(1, s[0]), orthonormal factor
     columns to 1e-9, descending singular values.
+
+    This is the full decomposition for callers that need U and V; no loss
+    path uses it (``bnm``, its gradient and :func:`nuclear_norm` read what
+    they need off the stack path).
     """
     arr = np.asarray(P, dtype=float)
     if arr.ndim != 2:
         raise ValueError("svd expects a 2-D matrix")
-    n_rows, n_cols = arr.shape
-    transpose = n_rows < n_cols
-    work = arr.T if transpose else arr
-    k = min(n_rows, n_cols)
-    rotated, rots = _orthogonalized(work[None, :, :])
-    rots = rots[0]
-    sigma = np.linalg.norm(rotated[0], axis=0)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    rots = rots[:, order]
-    top = sigma[0] if k else 0.0
-    fill = sigma <= SV_ZERO_TOL * max(1.0, top)
-    left = np.where(fill[None, :], 0.0, (work @ rots) / np.where(fill, 1.0, sigma)[None, :])
+    _, part, rots, sigma = next(_jacobi_chunks(arr[None]))
+    sigma, rots, left, fill = (x[0] for x in _sorted_factors(part, rots, sigma))
     left = _orthonormalize_columns(left, fill)
-    if transpose:
-        u, v = rots, left
-    else:
-        u, v = left, rots
-    for col in range(k):
+    u, v = (rots, left) if arr.shape[0] < arr.shape[1] else (left, rots)
+    for col in range(sigma.size):
         pivot = int(np.argmax(np.abs(u[:, col])))
         if u[pivot, col] < 0.0:
             u[:, col] = -u[:, col]
@@ -334,29 +360,16 @@ def svd(P: np.ndarray) -> SvdResult:
 
 
 def _singular_values_stack(stack: np.ndarray) -> np.ndarray:
-    """Descending singular values for every matrix in an (N, B, C) stack.
-
-    The stack is processed in chunks of about _CHUNK_FLOATS entries so the
-    working arrays stay small however many matrices it holds.
-    """
-    n_mats, n_rows, n_cols = stack.shape
-    work = stack.transpose(0, 2, 1) if n_rows < n_cols else stack
-    k = min(n_rows, n_cols)
-    chunk = max(1, _CHUNK_FLOATS // max(1, n_rows * n_cols))
-    sigma = np.empty((n_mats, k))
-    for start in range(0, n_mats, chunk):
-        rotated, _ = _orthogonalized(work[start : start + chunk])
-        sigma[start : start + chunk] = np.sqrt(np.einsum("nmk,nmk->nk", rotated, rotated))
+    """Descending singular values for every matrix in an (N, B, C) stack."""
+    sigma = np.empty((stack.shape[0], min(stack.shape[1:])))
+    for rows, _, _, part_sigma in _jacobi_chunks(stack):
+        sigma[rows] = part_sigma
     return np.sort(sigma, axis=1)[:, ::-1]
 
 
-def nuclear_norm(P: np.ndarray) -> float:
-    """Sum of singular values.  Equals sum_c sqrt(n_c) on one-hot matrices."""
-    return float(svd(P).s.sum())
-
-
 # ---------------------------------------------------------------------------
-# loss kernels over stacks: one per loss, (values, gradients or None)
+# loss kernels over stacks: one per loss, (values, gradients or None); bnm
+# also returns its exact flags
 
 
 def _squares_stack(stack: np.ndarray) -> np.ndarray:
@@ -368,8 +381,31 @@ def _ms(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | No
     return -_squares_stack(stack) / n_rows, (-2.0 * stack / n_rows if want_grad else None)
 
 
-def _bnm_stack(stack: np.ndarray) -> np.ndarray:
-    return -_singular_values_stack(stack).sum(axis=1) / stack.shape[1]
+def _bnm(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Negated nuclear norm per sample and, when asked, its gradient and exact flags.
+
+    The gradient is the polar factor -U V^T / B, read off the same Jacobi
+    pass as the singular values: U = A V / sigma on the oriented matrix A.
+    A matrix with a vanishing singular value gets the columns of U for
+    those completed to an orthonormal basis (a subgradient).  Its flag is
+    exact only when consecutive singular values are more than
+    SV_DISTINCT_GAP apart and none is below SV_ZERO_TOL.
+    """
+    n_mats, n_rows, n_cols = stack.shape
+    if not want_grad:
+        return -_singular_values_stack(stack).sum(axis=1) / n_rows, None, None
+    sigma = np.empty((n_mats, min(n_rows, n_cols)))
+    polar = np.empty((n_mats, max(n_rows, n_cols), min(n_rows, n_cols)))
+    exact = np.empty(n_mats, dtype=bool)
+    for rows, part, rots, part_sigma in _jacobi_chunks(stack):
+        sigma[rows] = part_sigma
+        desc, rots, left, fill = _sorted_factors(part, rots, part_sigma)
+        for idx in np.flatnonzero(fill.any(axis=1)):
+            left[idx] = _orthonormalize_columns(left[idx], fill[idx])
+        polar[rows] = np.matmul(left, rots.transpose(0, 2, 1))
+        exact[rows] = np.all(-np.diff(desc, axis=1) > SV_DISTINCT_GAP, axis=1) & (desc[:, -1] > SV_ZERO_TOL)
+    values = -np.sort(sigma, axis=1)[:, ::-1].sum(axis=1) / n_rows
+    return values, -(polar.transpose(0, 2, 1) if n_rows < n_cols else polar) / n_rows, exact
 
 
 def _cwsm(stack: np.ndarray, r: float, want_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
@@ -453,15 +489,6 @@ def _ns_stack(stack: np.ndarray, r: float, alpha: float, epsilon: float) -> np.n
     return -_nsm(stack, r, alpha, epsilon, False)[0]
 
 
-def _bnm_grad_single(P: np.ndarray) -> GradOutput:
-    n_rows = P.shape[0]
-    decomp = svd(P)
-    grad = -(decomp.u @ decomp.v.T) / n_rows
-    gaps_ok = bool(np.all(-np.diff(decomp.s) > SV_DISTINCT_GAP)) if decomp.k > 1 else True
-    exact = gaps_ok and bool(decomp.s[-1] > SV_ZERO_TOL)
-    return GradOutput(value=float(-decomp.s.sum() / n_rows), grad=grad, exact=exact)
-
-
 def _loss_stack(
     kind: str, stack: np.ndarray, r: float, alpha: float, epsilon: float, want_grad: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -472,10 +499,7 @@ def _loss_stack(
     if kind == "nsm":
         return _nsm(stack, r, alpha, epsilon, want_grad)
     if kind == "bnm":
-        if not want_grad:
-            return _bnm_stack(stack), None
-        outs = [_bnm_grad_single(stack[i]) for i in range(stack.shape[0])]
-        return np.array([o.value for o in outs]), np.stack([o.grad for o in outs])
+        return _bnm(stack, want_grad)[:2]
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
@@ -487,7 +511,7 @@ def _loss_values_stack(kind: str, stack: np.ndarray, r: float, alpha: float, eps
 def _loss_grads_stack(
     kind: str, stack: np.ndarray, r: float, alpha: float, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Values and gradients for a stack; bnm falls back to a per-matrix loop."""
+    """Values and gradients for a stack, from the loss's kernel."""
     return _loss_stack(kind, stack, r, alpha, epsilon, True)
 
 
@@ -509,7 +533,16 @@ def ms(P: np.ndarray) -> float:
 
 def bnm(P: np.ndarray) -> float:
     """Negative nuclear norm per sample: -(1/B) sum_i sigma_i."""
-    return float(_bnm_stack(_as_stack(P))[0])
+    return float(_bnm(_as_stack(P), False)[0][0])
+
+
+def nuclear_norm(P: np.ndarray) -> float:
+    """Sum of singular values.  Equals sum_c sqrt(n_c) on one-hot matrices.
+
+    Read from the singular-value stack path, as ``bnm`` is; :func:`svd`
+    is not used.
+    """
+    return float(_singular_values_stack(_as_stack(P))[0].sum())
 
 
 def cws(P: np.ndarray, r: float) -> float:
@@ -570,14 +603,15 @@ def loss_value(P: np.ndarray, cfg: LossConfig) -> float:
 def gradient(P: np.ndarray, cfg: LossConfig) -> GradOutput:
     """Loss value and the matrix of partials d(loss)/dP_ic.
 
-    Analytic in closed form for ms/cwsm/nsm.  For bnm the matrix
-    -(u @ v.T)/B from the thin SVD is returned; it is the exact gradient
+    Analytic in closed form for ms/cwsm/nsm.  For bnm the polar factor
+    -(u @ v.T)/B of the thin SVD is returned; it is the exact gradient
     when the singular values are separated by more than 1e-8 and none is
     numerically zero, and a valid subgradient (``exact=False``) otherwise.
     """
     stack = _as_stack(P)
     if cfg.kind == "bnm":
-        return _bnm_grad_single(stack[0])
+        values, grads, exact = _bnm(stack, True)
+        return GradOutput(value=float(values[0]), grad=grads[0], exact=bool(exact[0]))
     eps = cfg.resolved_epsilon(stack.shape[1], stack.shape[2])
     values, grads = _loss_grads_stack(cfg.kind, stack, cfg.r, cfg.alpha, eps)
     return GradOutput(value=float(values[0]), grad=grads[0], exact=True)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from equimax import losses
 from equimax.cli import run
 from equimax.optimizer import read_surface_csv
 from equimax.probmat import DimensionError, EXAMPLES_4X2, read_array_csv, read_matrix_csv, write_matrix_csv
@@ -26,6 +27,23 @@ class TestEval:
         assert "ms: -1" in out
         assert "equity: 1" in out
         assert "discriminability: 1" in out
+
+    @pytest.mark.parametrize(
+        "name, bnm_line, nuclear_line",
+        [("P1", "bnm: -0.5", "nuclear_norm: 2"),
+         ("P2", "bnm: -0.683013", "nuclear_norm: 2.73205"),
+         ("P3", "bnm: -0.707107", "nuclear_norm: 2.82843")],
+    )
+    def test_one_jacobi_pass_per_matrix(self, tmp_path, capsys, monkeypatch, name, bnm_line, nuclear_line):
+        calls = []
+        jacobi = losses._jacobi_orthogonalize
+        monkeypatch.setattr(losses, "_jacobi_orthogonalize", lambda *a, **k: calls.append(1) or jacobi(*a, **k))
+        path = tmp_path / f"{name}.csv"
+        write_matrix_csv(path, EXAMPLES_4X2[name])
+        assert run(["eval", "--input", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(calls) == 1
+        assert bnm_line in lines and nuclear_line in lines
 
     def test_stdin(self, capsys, monkeypatch):
         import io

@@ -260,6 +260,78 @@ class TestBnm:
         assert abs(bnm(np.eye(2)) - (-1.0)) <= 1e-12
 
 
+def _bnm_reference(P):
+    """Per-matrix bnm gradient from the full SVD, and its exact rule."""
+    decomp = svd(P)
+    grad = -(decomp.u @ decomp.v.T) / P.shape[0]
+    gaps_ok = bool(np.all(-np.diff(decomp.s) > losses.SV_DISTINCT_GAP))
+    return grad, gaps_ok and bool(decomp.s[-1] > losses.SV_ZERO_TOL)
+
+
+def _bnm_stacks():
+    rng = np.random.default_rng(11)
+    rank_deficient = [_duplicate_columns, _zero_column, _one_hot_empty_class]
+    stacks = {
+        f"{kind} {b}x{c}": np.stack([random_matrix(rng, b, c) for _ in range(6)]
+                                    + [make(rng, b, c) for make in rank_deficient])
+        for kind, b, c in [("wide", 3, 7), ("wide", 5, 12), ("square", 4, 4), ("square", 6, 6),
+                           ("tall", 9, 5), ("householder", 10, 5), ("householder", 40, 8)]
+    }
+    stacks["eye(2)"] = np.eye(2)[None]
+    stacks["full((4, 2), 0.5)"] = np.full((1, 4, 2), 0.5)
+    stacks["one-hot rows 3x2"] = np.stack(list(enumerate_one_hot(3, 2)))
+    stacks["one-hot rows 4x3"] = np.stack(list(enumerate_one_hot(4, 3)))
+    # more entries than _CHUNK_FLOATS, with rank-deficient matrices in every chunk
+    big = np.stack([random_matrix(rng, 12, 6) for _ in range(1200)])
+    big[::97] = _zero_column(rng, 12, 6)
+    big[5::101] = np.eye(6)[np.arange(12) % 6]
+    stacks["chunked 1200x12x6"] = big
+    return stacks
+
+
+BNM_STACKS = _bnm_stacks()
+
+
+class TestBnmKernel:
+    @pytest.mark.parametrize("name", list(BNM_STACKS))
+    def test_matches_per_matrix_svd(self, name):
+        stack = BNM_STACKS[name]
+        n_rows = stack.shape[1]
+        values, grads, exact = losses._bnm(stack, True)
+        assert np.array_equal(values, -losses._singular_values_stack(stack).sum(axis=1) / n_rows)
+        assert np.array_equal(losses._bnm(stack, False)[0], values)
+        assert grads.shape == stack.shape and exact.shape == (stack.shape[0],)
+        picks = range(len(stack))
+        if name == "chunked 1200x12x6":
+            assert stack.size > losses._CHUNK_FLOATS
+            # every inexact matrix, plus every 25th, keeps the reference loop short
+            picks = sorted(set(np.flatnonzero(~exact)) | set(range(0, len(stack), 25)))
+            assert len(picks) < len(stack) and np.flatnonzero(~exact).max() > len(stack) // 2
+        for idx in picks:
+            ref_grad, ref_exact = _bnm_reference(stack[idx])
+            assert np.max(np.abs(grads[idx] - ref_grad)) <= 1e-12 * max(1.0, np.abs(ref_grad).max())
+            assert exact[idx] == ref_exact
+
+    def test_exact_gradient_is_lapack_polar_factor(self):
+        rng = np.random.default_rng(3)
+        for shape in ((3, 7), (4, 4), (9, 5), (40, 8)):
+            stack = np.stack([random_matrix(rng, *shape) for _ in range(5)])
+            _, grads, exact = losses._bnm(stack, True)
+            assert exact.all()
+            for mat, grad in zip(stack, grads):
+                u, _, vt = np.linalg.svd(mat, full_matrices=False)
+                assert np.max(np.abs(grad + u @ vt / shape[0])) <= 1e-10
+
+    def test_public_functions_share_the_kernel(self):
+        mat = np.asarray(EXAMPLES_4X2["P2"])
+        values, grads, exact = losses._bnm(mat[None], True)
+        out = losses.gradient(mat, LossConfig("bnm"))
+        assert out.value == values[0] == bnm(mat) == loss_value(mat, LossConfig("bnm"))
+        assert np.array_equal(out.grad, grads[0]) and out.exact == exact[0]
+        stack_values, stack_grads = losses._loss_grads_stack("bnm", mat[None], 0.5, 1.0, 0.0)
+        assert np.array_equal(stack_values, values) and np.array_equal(stack_grads, grads)
+
+
 class TestCws:
     def test_golden_values(self):
         assert abs(cws(P1, 0.5) - 1.0) <= 1e-9

@@ -66,6 +66,14 @@ class TestMaximize:
         res = maximize(LossConfig("bnm"), 2, 2, AscentConfig(inits=8, steps=200))
         assert abs(res.best_value - 1.0) <= 1e-6  # identity-like corners
 
+    def test_bnm_ascent_pinned(self):
+        res = maximize(LossConfig("bnm"), 4, 3, AscentConfig(inits=48, steps=600, seed=5))
+        assert res.best_value == 0.8535533905932737
+        assert np.array_equal(res.best_matrix, [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        long_runs = {4, 13, 23, 25, 29, 31, 37, 46}  # 225 accepted steps; the other starts take 25
+        assert res.accepted_steps.tolist() == [225 if i in long_runs else 25 for i in range(48)]
+        assert res.halving_events == 0
+
     def test_best_value_consistent_with_matrix(self):
         cfg = LossConfig("nsm", r=0.5, alpha=2.0, epsilon=1e-6)
         res = maximize(cfg, 3, 3, FAST)
