@@ -45,7 +45,6 @@ go through the same path; no LAPACK routine is called.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Union
 
@@ -268,29 +267,39 @@ def _orthogonalized(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return target, rots
 
 
-def _orthonormalize_columns(q: np.ndarray, needs_fill: np.ndarray) -> np.ndarray:
-    """Re-orthonormalize columns in order, filling flagged ones deterministically.
+def _orthonormalize_columns(q: np.ndarray) -> np.ndarray:
+    """Re-orthonormalize the columns of every matrix in an (N, m, k) stack, in order.
 
     A column is projected off the already-fixed columns twice (classical
-    Gram-Schmidt, twice is enough).  Flagged columns (vanishing singular
-    value), and columns that keep no more than half their length, are
-    replaced by the first standard basis vector whose residual keeps more
-    than half its length.
+    Gram-Schmidt, twice is enough), for all matrices at once.  A column
+    that keeps no more than half its length, such as the zero column of a
+    vanishing singular value, is replaced by the first standard basis
+    vector whose residual keeps more than half its length.
     """
-    m, k = q.shape
-    out = q.copy()
+    _, m, k = q.shape
+    out = np.empty_like(q)
+
+    def project(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # v holds (1, m) row vectors, so both products are plain matmuls
+        for _ in range(2):
+            v = v - np.matmul(np.matmul(v, basis), basis.transpose(0, 2, 1))
+        return v
+
     for idx in range(k):
-        basis = out[:, :idx]
-        kept = [] if needs_fill[idx] else [q[:, idx]]
-        for v in itertools.chain(kept, (np.eye(1, m, cand)[0] for cand in range(m))):
-            for _ in range(2):
-                v = v - basis @ (basis.T @ v)
-            norm = np.linalg.norm(v)
-            if norm > 0.5:
-                out[:, idx] = v / norm
-                break
-        else:
-            raise ConvergenceError("failed to complete an orthonormal basis")
+        basis = out[:, :, :idx]
+        v = project(basis, q[:, None, :, idx]) if idx else q[:, None, :, 0]
+        norm = np.sqrt(np.einsum("nim,nim->n", v, v))
+        redo = norm <= 0.5
+        out[:, :, idx] = v[:, 0, :] / np.where(redo, 1.0, norm)[:, None]
+        for mat in np.flatnonzero(redo):
+            for cand in range(m):
+                v = project(basis[mat : mat + 1], np.eye(1, m, cand)[None])[0, 0]
+                norm = np.linalg.norm(v)
+                if norm > 0.5:
+                    out[mat, :, idx] = v / norm
+                    break
+            else:
+                raise ConvergenceError("failed to complete an orthonormal basis")
     return out
 
 
@@ -312,20 +321,22 @@ def _jacobi_chunks(stack: np.ndarray):
 
 def _sorted_factors(
     part: np.ndarray, rots: np.ndarray, sigma: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort one chunk's factors by descending singular value.
 
-    Returns (sigma, rotations V, left factor A V / sigma, fill) for the
-    oriented chunk A; ``fill`` marks singular values at or below
-    SV_ZERO_TOL * max(1, sigma_0), whose left columns are zero.
+    Returns (sigma, rotations V, left factor A V / sigma) for the oriented
+    chunk A.  Left columns whose singular value is at or below
+    SV_ZERO_TOL * max(1, sigma_0) are zero.
     """
     order = np.argsort(-sigma, axis=1, kind="stable")
     sigma = np.take_along_axis(sigma, order, axis=1)
-    rots = np.take_along_axis(rots, order[:, None, :], axis=2)
-    fill = sigma <= SV_ZERO_TOL * np.maximum(1.0, sigma[:, :1])
-    left = np.matmul(part, rots) / np.where(fill, 1.0, sigma)[:, None, :]
-    left[np.broadcast_to(fill[:, None, :], left.shape)] = 0.0
-    return sigma, rots, left, fill
+    # sorting the rows of V^T leaves each V column-major, as column indexing
+    # of one matrix does, so A V rounds the same either way; the left column
+    # of a near-zero sigma magnifies that rounding by sigma_0 / sigma
+    rots = np.take_along_axis(rots.transpose(0, 2, 1), order[:, :, None], axis=1).transpose(0, 2, 1)
+    fill = (sigma <= SV_ZERO_TOL * np.maximum(1.0, sigma[:, :1]))[:, None, :]
+    left = np.where(fill, 0.0, np.matmul(part, rots) / np.where(fill, 1.0, sigma[:, None, :]))
+    return sigma, rots, left
 
 
 def svd(P: np.ndarray) -> SvdResult:
@@ -348,8 +359,8 @@ def svd(P: np.ndarray) -> SvdResult:
     if arr.ndim != 2:
         raise ValueError("svd expects a 2-D matrix")
     _, part, rots, sigma = next(_jacobi_chunks(arr[None]))
-    sigma, rots, left, fill = (x[0] for x in _sorted_factors(part, rots, sigma))
-    left = _orthonormalize_columns(left, fill)
+    sigma, rots, left = _sorted_factors(part, rots, sigma)
+    sigma, rots, left = sigma[0], rots[0], _orthonormalize_columns(left)[0]
     u, v = (rots, left) if arr.shape[0] < arr.shape[1] else (left, rots)
     for col in range(sigma.size):
         pivot = int(np.argmax(np.abs(u[:, col])))
@@ -385,9 +396,10 @@ def _bnm(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | N
     """Negated nuclear norm per sample and, when asked, its gradient and exact flags.
 
     The gradient is the polar factor -U V^T / B, read off the same Jacobi
-    pass as the singular values: U = A V / sigma on the oriented matrix A.
-    A matrix with a vanishing singular value gets the columns of U for
-    those completed to an orthonormal basis (a subgradient).  Its flag is
+    pass as the singular values: U = A V / sigma on the oriented matrix A,
+    re-orthonormalized in descending sigma order, since its error grows as
+    sigma_0 / sigma.  Columns of U for a vanishing singular value are
+    completed to an orthonormal basis (a subgradient).  A matrix's flag is
     exact only when consecutive singular values are more than
     SV_DISTINCT_GAP apart and none is below SV_ZERO_TOL.
     """
@@ -398,13 +410,11 @@ def _bnm(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | N
     polar = np.empty((n_mats, max(n_rows, n_cols), min(n_rows, n_cols)))
     exact = np.empty(n_mats, dtype=bool)
     for rows, part, rots, part_sigma in _jacobi_chunks(stack):
-        sigma[rows] = part_sigma
-        desc, rots, left, fill = _sorted_factors(part, rots, part_sigma)
-        for idx in np.flatnonzero(fill.any(axis=1)):
-            left[idx] = _orthonormalize_columns(left[idx], fill[idx])
-        polar[rows] = np.matmul(left, rots.transpose(0, 2, 1))
+        sigma[rows], rots, left = _sorted_factors(part, rots, part_sigma)
+        polar[rows] = np.matmul(_orthonormalize_columns(left), rots.transpose(0, 2, 1))
+        desc = sigma[rows]
         exact[rows] = np.all(-np.diff(desc, axis=1) > SV_DISTINCT_GAP, axis=1) & (desc[:, -1] > SV_ZERO_TOL)
-    values = -np.sort(sigma, axis=1)[:, ::-1].sum(axis=1) / n_rows
+    values = -sigma.sum(axis=1) / n_rows
     return values, -(polar.transpose(0, 2, 1) if n_rows < n_cols else polar) / n_rows, exact
 
 

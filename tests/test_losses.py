@@ -150,6 +150,28 @@ def _one_hot_empty_class(rng, n_rows, n_cols):
     return np.eye(n_cols)[labels]
 
 
+# near-singular but full-rank matrices: smallest singular value about 1e-9,
+# above SV_ZERO_TOL, so no column of U is filled in
+
+
+def _near_duplicate_column(rng, n_rows, n_cols):
+    mat = random_matrix(rng, n_rows, n_cols)
+    mat[:, -1] = mat[:, 0] + 1e-8 * rng.uniform(size=n_rows)
+    return mat / mat.sum(axis=1, keepdims=True)
+
+
+def _near_duplicate_row(rng, n_rows, n_cols):
+    mat = random_matrix(rng, n_rows, n_cols)
+    mat[-1] = mat[0] + 1e-8 * rng.uniform(size=n_cols)
+    return mat / mat.sum(axis=1, keepdims=True)
+
+
+def _scaled_column(rng, n_rows, n_cols):
+    mat = random_matrix(rng, n_rows, n_cols)
+    mat[:, -1] *= 1e-8
+    return mat / mat.sum(axis=1, keepdims=True)
+
+
 class TestJacobiEngine:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_round_robin_covers_each_pair_once(self, n):
@@ -271,9 +293,10 @@ def _bnm_reference(P):
 def _bnm_stacks():
     rng = np.random.default_rng(11)
     rank_deficient = [_duplicate_columns, _zero_column, _one_hot_empty_class]
+    near_singular = [_near_duplicate_column, _near_duplicate_row, _scaled_column]
     stacks = {
         f"{kind} {b}x{c}": np.stack([random_matrix(rng, b, c) for _ in range(6)]
-                                    + [make(rng, b, c) for make in rank_deficient])
+                                    + [make(rng, b, c) for make in rank_deficient + near_singular])
         for kind, b, c in [("wide", 3, 7), ("wide", 5, 12), ("square", 4, 4), ("square", 6, 6),
                            ("tall", 9, 5), ("householder", 10, 5), ("householder", 40, 8)]
     }
@@ -311,6 +334,16 @@ class TestBnmKernel:
             ref_grad, ref_exact = _bnm_reference(stack[idx])
             assert np.max(np.abs(grads[idx] - ref_grad)) <= 1e-12 * max(1.0, np.abs(ref_grad).max())
             assert exact[idx] == ref_exact
+
+    def test_stacks_hold_near_singular_exact_matrices(self):
+        # U = A V / sigma alone is off by about eps * sigma_0 / sigma_min here;
+        # the reference orthonormalizes U, so these matrices check that the
+        # kernel does too
+        for name, stack in BNM_STACKS.items():
+            if name.split()[0] in ("wide", "square", "tall", "householder"):
+                smallest = losses._singular_values_stack(stack[-3:])[:, -1]
+                near = (smallest > losses.SV_ZERO_TOL) & (smallest < 1e-7)
+                assert (near & losses._bnm(stack[-3:], True)[2]).any(), name
 
     def test_exact_gradient_is_lapack_polar_factor(self):
         rng = np.random.default_rng(3)
