@@ -9,6 +9,7 @@ convergence error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -192,7 +193,9 @@ def _cmd_examples(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every caller."""
     parser = argparse.ArgumentParser(
         prog="equimax",
         description="Batch prediction losses, brute-force optimality checks, and a toy two-domain trainer.",
@@ -260,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (probmat.BudgetError, losses.ConvergenceError, toyuda.TrainingDivergedError) as exc:

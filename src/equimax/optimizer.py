@@ -6,11 +6,14 @@ re-projects row by row.  A step is accepted when it lowers the objective
 by at most 1e-10 (``ACCEPT_TOL``), so decreases that small are accepted
 along with gains; a step that lowers it by more is retried with a halved
 step.  The halving also absorbs non-ascent subgradient proposals from the
-nuclear-norm loss.  A start retires for one of four reasons
+nuclear-norm loss.  Every ``polish_every`` steps each active start is
+polished, and every start once more at the end: its rows snap to their
+argmax corners, and a steepest single-row relabel search then climbs over
+one-hot vertices, scoring each move by its class sizes alone.  The start
+takes the vertex it ends on when that does not lower its value by more
+than ``ACCEPT_TOL``.  A start retires for one of three reasons
 (``RETIRE_REASONS``): it converged (projected-gradient norm below
-``tol_grad``), it stalled (its value gained at most 1e-12, ``STALL_GAIN``,
-between two vertex polishes), no step scale improved it, or it reached the
-step cap.
+``tol_grad``), no step scale improved it, or it reached the step cap.
 
 ``surface`` evaluates a negated loss on a uniform grid over the two-sample,
 two-class family [[p1, 1-p1], [p2, 1-p2]], the smallest case in which the
@@ -30,8 +33,7 @@ from .losses import LossConfig, _loss_grads_stack, _loss_values_stack
 from .probmat import project_rows, read_array_csv
 
 ACCEPT_TOL = 1e-10
-STALL_GAIN = 1e-12
-RETIRE_REASONS = ("converged", "stalled", "no improving step", "step cap")
+RETIRE_REASONS = ("converged", "no improving step", "step cap")
 SURFACE_ARGMAX_TOL = 1e-6
 
 
@@ -61,8 +63,7 @@ class AscentResult:
     Values are of the negated loss (maximization orientation).
     ``halving_events`` counts proposals that needed at least one step
     halving before acceptance.  ``retire_reasons`` names, per start, the
-    one of ``RETIRE_REASONS`` that ended it: converged, stalled (at most
-    ``STALL_GAIN`` gained between two vertex polishes), no improving step,
+    one of ``RETIRE_REASONS`` that ended it: converged, no improving step,
     or step cap.
     """
 
@@ -87,14 +88,13 @@ def maximize(
 
     Deterministic for a fixed seed.  All starts advance in lockstep as one
     (inits, B, C) stack.  Every ``polish_every`` steps the active starts get
-    a value-guarded vertex polish (rows snapped to their argmax corner when
-    that does not lower the value), and so does every final iterate.  A
-    start retires when
+    a value-guarded vertex polish, and so does every final iterate: rows
+    snap to their argmax corner, single rows are relabelled while that
+    raises the value (``_relabel_ascent``), and the vertex replaces the
+    iterate when its value is not lower.  A start retires when
 
     * it converged: its projected-gradient norm at the nominal step size
       falls below ``tol_grad``;
-    * it stalled: at a polish, its value gained at most ``STALL_GAIN``
-      since the previous polish;
     * no step scale down to ``max_halvings`` halvings improves its value;
     * or it reached the step cap.
 
@@ -110,26 +110,28 @@ def maximize(
     active = np.ones(cfg.inits, dtype=bool)
     accepted = np.zeros(cfg.inits, dtype=int)
     reasons = np.full(cfg.inits, "step cap", dtype=object)
-    checkpoint = values.copy()
     halving_events = 0
     histories = [[float(v)] for v in values] if record_history else None
 
     def polish(rows_sel: np.ndarray) -> None:
-        # Snap each row to its argmax corner when that does not lower the
-        # value.  Iterates chased towards extreme points by large gradients
-        # can otherwise stall a hair away from them: re-projection keeps
-        # leaking mass back into zeroed columns.
+        # Snap each row to its argmax corner, then relabel single rows while
+        # that raises the value.  Iterates chased towards extreme points by
+        # large gradients can otherwise stall a hair away from them, and two
+        # rows parked at (1/2, 1/2) on the same classes snap into one class.
         if rows_sel.size == 0:
             return
-        snapped = np.zeros((rows_sel.size, n_rows, n_cols))
         labels = points[rows_sel].argmax(axis=2)
-        snapped[
+        _relabel_ascent(
+            labels, n_cols, lambda sizes: _size_values(kind, sizes, r, alpha, eps)
+        )
+        vertices = np.zeros((rows_sel.size, n_rows, n_cols))
+        vertices[
             np.arange(rows_sel.size)[:, None], np.arange(n_rows)[None, :], labels
         ] = 1.0
-        snap_vals = -_loss_values_stack(kind, snapped, r, alpha, eps)
-        keep = snap_vals >= values[rows_sel] - ACCEPT_TOL
-        points[rows_sel[keep]] = snapped[keep]
-        values[rows_sel[keep]] = snap_vals[keep]
+        vertex_vals = -_loss_values_stack(kind, vertices, r, alpha, eps)
+        keep = vertex_vals >= values[rows_sel] - ACCEPT_TOL
+        points[rows_sel[keep]] = vertices[keep]
+        values[rows_sel[keep]] = vertex_vals[keep]
 
     def retire(sel: np.ndarray, reason: str) -> None:
         active[sel] = False
@@ -137,12 +139,7 @@ def maximize(
 
     for outer in range(cfg.steps):
         if outer and outer % cfg.polish_every == 0:
-            idx = np.nonzero(active)[0]
-            polish(idx)
-            # a start that keeps accepting steps of (almost) no gain would
-            # otherwise spin, halving all the way down, to the step cap
-            retire(idx[values[idx] - checkpoint[idx] <= STALL_GAIN], "stalled")
-            checkpoint = values.copy()
+            polish(np.nonzero(active)[0])
         if not active.any():
             break
         idx = np.nonzero(active)[0]
@@ -204,6 +201,50 @@ def maximize(
         retire_reasons=reasons.tolist(),
         histories=histories,
     )
+
+
+def _size_values(
+    kind: str, sizes: np.ndarray, r: float, alpha: float, epsilon: float
+) -> np.ndarray:
+    """Negated loss of one-hot matrices with the given (N, C) class sizes.
+
+    On one-hot matrices every loss depends only on the multiset of class
+    sizes, so each distinct multiset is evaluated once by the loss kernel,
+    on the one-hot matrix whose rows fill the classes in descending size
+    order.
+    """
+    canon = -np.sort(-sizes, axis=1)
+    unique, inverse = np.unique(canon, axis=0, return_inverse=True)
+    bounds = np.cumsum(unique, axis=1)
+    labels = (np.arange(bounds[0, -1])[None, :, None] >= bounds[:, None, :]).sum(axis=2)
+    one_hot = np.eye(sizes.shape[1])[labels]
+    return -_loss_values_stack(kind, one_hot, r, alpha, epsilon)[inverse.ravel()]
+
+
+def _relabel_ascent(labels: np.ndarray, n_cols: int, score) -> None:
+    """Steepest single-row relabel ascent over one-hot vertices, in place.
+
+    ``labels`` is an (S, B) stack of row labels and ``score`` maps (N, C)
+    class sizes to values.  A round scores every move of one row from class
+    a to class b by its size vector and applies each start's best move on a
+    strict gain: the first best in (a, b) order, on the last row labelled a.
+    The search ends when no start gains.
+    """
+    n_rows = labels.shape[1]
+    src, dst = np.nonzero(~np.eye(n_cols, dtype=bool))
+    delta = np.eye(n_cols, dtype=int)[dst] - np.eye(n_cols, dtype=int)[src]
+    live = np.arange(labels.shape[0])
+    while live.size:
+        sizes = (labels[live][:, :, None] == np.arange(n_cols)).sum(axis=1)
+        movable = sizes[:, src] > 0
+        moved = sizes[:, None, :] + delta * movable[:, :, None]
+        scores = score(np.concatenate([sizes, moved.reshape(-1, n_cols)]))
+        after = np.where(movable, scores[live.size :].reshape(movable.shape), -np.inf)
+        best = after.argmax(axis=1)
+        ahead = after[np.arange(live.size), best] > scores[: live.size]
+        live, best = live[ahead], best[ahead]
+        last = n_rows - 1 - (labels[live, ::-1] == src[best][:, None]).argmax(axis=1)
+        labels[live, last] = dst[best]
 
 
 @dataclass

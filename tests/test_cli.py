@@ -139,6 +139,21 @@ class TestSurface:
         assert len(out.read_text().splitlines()) == 1 + 40401
 
 
+def test_one_parser_keeps_subcommand_defaults(tmp_path, capsys, p3_path):
+    from equimax import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    surface_csv = tmp_path / "s.csv"
+    assert run(["surface", "--loss", "nsm", "--grid", "3", "--out", str(surface_csv)]) == 0
+    assert json.loads((tmp_path / "s.csv.argmax.json").read_text())["epsilon"] == 1e-6
+    assert run(["grad", "--loss", "nsm", "--input", p3_path, "--out", str(tmp_path / "g.csv")]) == 0
+    assert run(["eval", "--input", p3_path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # epsilon "auto" resolves to 0 at B > C; the surface default would give -0.500004
+    assert "loss: -0.5" in lines
+    assert "ns(r=0.5, alpha=1, epsilon=0): 0.5" in lines
+
+
 class TestOptimize:
     def test_cwsm(self, capsys):
         code = run(
@@ -153,7 +168,7 @@ class TestOptimize:
         argv = ["optimize", "--loss", "nsm", "--r", "0.5", "--epsilon", "1e-6", "--b", "3", "--c", "3"]
         assert run(argv + ["--inits", "48", "--steps", "600"]) == 0
         last = capsys.readouterr().out.splitlines()[-1]
-        assert last == "retire reasons: converged 46, stalled 1, no improving step 1, step cap 0"
+        assert last == "retire reasons: converged 47, no improving step 1, step cap 0"
 
 
 class TestToyuda:

@@ -20,6 +20,8 @@ from equimax.optimizer import AscentConfig
 from equimax.probmat import BudgetError, class_sizes, enumerate_one_hot
 
 FAST_ASCENT = AscentConfig(inits=24, steps=400)
+# seeds on which a snap-only vertex polish gave wrong verdicts past 5x5
+ASCENT_SEEDS = [int(s) for s in np.random.default_rng(1).integers(0, 2**32, 12)]
 
 
 class TestBalancedSizes:
@@ -118,6 +120,12 @@ class TestTheorem2:
         with pytest.raises(ValueError):
             verify_theorem_2(4, 2, 1.0)
 
+    def test_balanced_argmax_at_6x6(self):
+        for seed in ASCENT_SEEDS:
+            ascent = AscentConfig(inits=48, steps=600, seed=seed)
+            rep = verify_theorem_2(6, 6, 0.5, seed=seed, ascent=ascent)
+            assert rep.verdict == "pass" and rep.argmax == [[1] * 6], seed
+
 
 class TestTheorem3:
     @pytest.mark.parametrize(
@@ -147,6 +155,12 @@ class TestTheorem45:
         assert rep.argmax == [[2, 2]]
         assert abs(rep.optimum - 0.5) <= 1e-12
         assert rep.params["ascent_one_hot"]
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_ascent_evidence_past_5x5(self, n):
+        for seed in ASCENT_SEEDS:
+            rep = verify_theorem_4_5(n, n, 1.0, 1e-6, seed=seed, theorem_id=4)
+            assert rep.verdict == "pass", seed
 
     def test_suboptimal_sizes_are_worse(self):
         # (3,1) split scores 0.4 against the balanced 0.5
