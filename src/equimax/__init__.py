@@ -2,8 +2,8 @@
 
 Library surface:
 
-* :mod:`equimax.probmat` -- validated row-stochastic matrices, enumeration,
-  simplex projection, canonical examples, CSV I/O.
+* :mod:`equimax.probmat` -- validated row-stochastic matrices, size
+  compositions, simplex projection, canonical examples, CSV I/O.
 * :mod:`equimax.losses` -- the four losses (ms, bnm, cwsm, nsm), analytic
   gradients, the deterministic SVD, balance metrics.
 * :mod:`equimax.oracle` -- brute-force verification of the optimality
@@ -48,11 +48,9 @@ from .probmat import (
     EXAMPLES_2X2,
     EXAMPLES_4X2,
     class_sizes,
-    enumerate_one_hot,
     enumerate_size_compositions,
     is_one_hot_rows,
     one_hot_matrix,
-    project_row_simplex,
     project_rows,
     read_array_csv,
     read_matrix_csv,
@@ -60,7 +58,7 @@ from .probmat import (
     validate,
     write_matrix_csv,
 )
-from .toyuda import ToyUdaConfig, ToyUdaResult, generate, read_trajectory_csv, train
+from .toyuda import ToyUdaConfig, ToyUdaResult, generate, train
 
 __version__ = "0.1.0"
 
@@ -83,7 +81,6 @@ __all__ = [
     "cws",
     "cwsm",
     "discriminability",
-    "enumerate_one_hot",
     "enumerate_size_compositions",
     "equity_metric",
     "generate",
@@ -98,11 +95,9 @@ __all__ = [
     "nsm",
     "nuclear_norm",
     "one_hot_matrix",
-    "project_row_simplex",
     "project_rows",
     "read_array_csv",
     "read_matrix_csv",
-    "read_trajectory_csv",
     "renormalize_rows",
     "surface",
     "svd",

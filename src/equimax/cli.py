@@ -9,6 +9,7 @@ convergence error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -150,12 +151,24 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
+def _check_keys(where: str, obj, allowed: list[str]) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown} in {where}, expected some of {allowed}")
+
+
 def _cmd_toyuda(args) -> int:
     overrides = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
+    # the seed comes from --seed, never from the file
+    fields = [f.name for f in dataclasses.fields(toyuda.ToyUdaConfig) if f.name != "seed"]
+    _check_keys("the toyuda config", overrides, fields)
     loss_over = overrides.pop("loss", {})
+    _check_keys("config key 'loss'", loss_over, ["r", "alpha", "epsilon"])
     loss_cfg = LossConfig(
         args.loss,
         r=float(loss_over.get("r", 0.5)),
@@ -163,10 +176,6 @@ def _cmd_toyuda(args) -> int:
         epsilon=loss_over.get("epsilon", "auto"),
         lam=args.lam,
     )
-    if "target_counts" in overrides:
-        overrides["target_counts"] = tuple(overrides["target_counts"])
-    if "shift" in overrides:
-        overrides["shift"] = tuple(overrides["shift"])
     config = toyuda.ToyUdaConfig(loss=loss_cfg, seed=args.seed, **overrides)
     result = toyuda.train(config)
     json_path, csv_path = result.save(args.out_prefix)

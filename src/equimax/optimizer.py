@@ -6,14 +6,15 @@ re-projects row by row.  A step is accepted when it lowers the objective
 by at most 1e-10 (``ACCEPT_TOL``), so decreases that small are accepted
 along with gains; a step that lowers it by more is retried with a halved
 step.  The halving also absorbs non-ascent subgradient proposals from the
-nuclear-norm loss.  Every ``polish_every`` steps each active start is
+nuclear-norm loss.  Every ``POLISH_EVERY`` steps each active start is
 polished, and every start once more at the end: its rows snap to their
 argmax corners, and a steepest single-row relabel search then climbs over
 one-hot vertices, scoring each move by its class sizes alone.  The start
 takes the vertex it ends on when that does not lower its value by more
 than ``ACCEPT_TOL``.  A start retires for one of three reasons
 (``RETIRE_REASONS``): it converged (projected-gradient norm below
-``tol_grad``), no step scale improved it, or it reached the step cap.
+``TOL_GRAD``), no step scale down to ``MAX_HALVINGS`` halvings improved
+it, or it reached the step cap.
 
 ``surface`` evaluates a negated loss on a uniform grid over the two-sample,
 two-class family [[p1, 1-p1], [p2, 1-p2]], the smallest case in which the
@@ -30,9 +31,12 @@ from typing import IO, Optional
 import numpy as np
 
 from .losses import LossConfig, _loss_grads_stack, _loss_values_stack
-from .probmat import project_rows, read_array_csv
+from .probmat import one_hot_matrix, project_rows
 
 ACCEPT_TOL = 1e-10
+TOL_GRAD = 1e-7
+MAX_HALVINGS = 60
+POLISH_EVERY = 25
 RETIRE_REASONS = ("converged", "no improving step", "step cap")
 SURFACE_ARGMAX_TOL = 1e-6
 
@@ -44,16 +48,13 @@ class AscentConfig:
     inits: int = 64
     steps: int = 2000
     step_size: float = 0.05
-    tol_grad: float = 1e-7
     seed: int = 0xE0517
-    max_halvings: int = 60
-    polish_every: int = 25
 
     def __post_init__(self):
-        if self.inits < 1 or self.steps < 1 or self.max_halvings < 1 or self.polish_every < 1:
-            raise ValueError("inits, steps, max_halvings, and polish_every must be positive")
-        if self.step_size <= 0.0 or self.tol_grad <= 0.0:
-            raise ValueError("step_size and tol_grad must be positive")
+        if self.inits < 1 or self.steps < 1:
+            raise ValueError("inits and steps must be positive")
+        if self.step_size <= 0.0:
+            raise ValueError("step_size must be positive")
 
 
 @dataclass
@@ -87,20 +88,22 @@ def maximize(
     """Maximize the negated loss over the product of row simplices.
 
     Deterministic for a fixed seed.  All starts advance in lockstep as one
-    (inits, B, C) stack.  Every ``polish_every`` steps the active starts get
+    (inits, B, C) stack.  Every ``POLISH_EVERY`` steps the active starts get
     a value-guarded vertex polish, and so does every final iterate: rows
     snap to their argmax corner, single rows are relabelled while that
     raises the value (``_relabel_ascent``), and the vertex replaces the
     iterate when its value is not lower.  A start retires when
 
     * it converged: its projected-gradient norm at the nominal step size
-      falls below ``tol_grad``;
-    * no step scale down to ``max_halvings`` halvings improves its value;
+      falls below ``TOL_GRAD``;
+    * no step scale down to ``MAX_HALVINGS`` halvings improves its value;
     * or it reached the step cap.
 
     The best final iterate is chosen by value, ties broken by lexicographic
-    matrix order.
+    matrix order.  Raises ``ValueError`` unless n_rows >= 1 and n_cols >= 2.
     """
+    if n_rows < 1 or n_cols < 2:
+        raise ValueError(f"need n_rows >= 1 and n_cols >= 2, got {n_rows}, {n_cols}")
     cfg = cfg or AscentConfig()
     rng = np.random.default_rng(cfg.seed)
     eps = loss_cfg.resolved_epsilon(n_rows, n_cols)
@@ -124,10 +127,7 @@ def maximize(
         _relabel_ascent(
             labels, n_cols, lambda sizes: _size_values(kind, sizes, r, alpha, eps)
         )
-        vertices = np.zeros((rows_sel.size, n_rows, n_cols))
-        vertices[
-            np.arange(rows_sel.size)[:, None], np.arange(n_rows)[None, :], labels
-        ] = 1.0
+        vertices = one_hot_matrix(labels, n_cols)
         vertex_vals = -_loss_values_stack(kind, vertices, r, alpha, eps)
         keep = vertex_vals >= values[rows_sel] - ACCEPT_TOL
         points[rows_sel[keep]] = vertices[keep]
@@ -138,7 +138,7 @@ def maximize(
         reasons[sel] = reason
 
     for outer in range(cfg.steps):
-        if outer and outer % cfg.polish_every == 0:
+        if outer and outer % POLISH_EVERY == 0:
             polish(np.nonzero(active)[0])
         if not active.any():
             break
@@ -149,13 +149,13 @@ def maximize(
         direction = -grads
         candidate = project_rows(current + cfg.step_size * direction)
         moved = np.linalg.norm((candidate - current).reshape(idx.size, -1), axis=1)
-        converged = moved / cfg.step_size < cfg.tol_grad
+        converged = moved / cfg.step_size < TOL_GRAD
         retire(idx[converged], "converged")
         cand_vals = -_loss_values_stack(kind, candidate, r, alpha, eps)
         pending = ~converged
         step = np.full(idx.size, cfg.step_size)
         halved = np.zeros(idx.size, dtype=bool)
-        for depth in range(cfg.max_halvings + 1):
+        for depth in range(MAX_HALVINGS + 1):
             if not pending.any():
                 break
             ok = pending & (cand_vals >= cur_vals - ACCEPT_TOL)
@@ -167,7 +167,7 @@ def maximize(
                 pending &= ~ok
             if not pending.any():
                 break
-            if depth == cfg.max_halvings:
+            if depth == MAX_HALVINGS:
                 # no improving step at any scale: a local maximum of the
                 # projection arc, so this start is finished
                 retire(idx[pending], "no improving step")
@@ -217,7 +217,7 @@ def _size_values(
     unique, inverse = np.unique(canon, axis=0, return_inverse=True)
     bounds = np.cumsum(unique, axis=1)
     labels = (np.arange(bounds[0, -1])[None, :, None] >= bounds[:, None, :]).sum(axis=2)
-    one_hot = np.eye(sizes.shape[1])[labels]
+    one_hot = one_hot_matrix(labels, sizes.shape[1])
     return -_loss_values_stack(kind, one_hot, r, alpha, epsilon)[inverse.ravel()]
 
 
@@ -332,8 +332,3 @@ def write_surface_csv(surf: SurfaceGrid, target: str | IO[str]) -> str | None:
     with open(sidecar_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(sidecar, sort_keys=True, indent=2))
     return sidecar_path
-
-
-def read_surface_csv(source: str | IO[str]) -> np.ndarray:
-    """Read back a surface CSV as an (N, 3) array of (p1, p2, value) rows."""
-    return read_array_csv(source)

@@ -42,6 +42,7 @@ from .probmat import (
     class_sizes,
     enumerate_size_compositions,
     is_one_hot_rows,
+    one_hot_matrix,
 )
 
 DEFAULT_SEED = 0xE0517
@@ -49,6 +50,7 @@ VALUE_TOL = 1e-9
 ONE_HOT_TOL = 1e-3
 BOUND_TOL = 1e-12
 ASCENT_BOUND_TOL = 1e-6
+CROSSCHECK_ROWS_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -117,16 +119,7 @@ class TheoremReport:
     seed: Optional[int]
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "params": self.params,
-            "argmax": self.argmax,
-            "optimum": self.optimum,
-            "predicted": self.predicted,
-            "verdict": self.verdict,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -144,28 +137,18 @@ def _argbest_multisets(comps: np.ndarray, values: np.ndarray, best: float, tol: 
 
 
 def _one_hot_label_stack(n_rows: int, n_cols: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """All one-hot matrices as an (N, B, C) stack plus their label tuples."""
+    """All one-hot matrices as an (N, B, C) stack plus their (N, B) labels, lexicographic."""
     count = n_cols**n_rows
     if count > budget:
         raise BudgetError(f"{n_cols}^{n_rows} = {count} one-hot matrices exceeds budget {budget}")
-    ids = np.arange(count)
-    labels = np.empty((count, n_rows), dtype=int)
-    for pos in range(n_rows):
-        labels[:, pos] = (ids // n_cols ** (n_rows - 1 - pos)) % n_cols
-    stack = np.zeros((count, n_rows, n_cols))
-    stack[ids[:, None], np.arange(n_rows)[None, :], labels] = 1.0
-    return stack, labels
+    labels = np.indices((n_cols,) * n_rows).reshape(n_rows, count).T
+    return one_hot_matrix(labels, n_cols), labels
 
 
-def verify_theorem_1(
-    n_rows: int,
-    n_cols: int,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    crosscheck_rows_limit: int = 6,
-) -> TheoremReport:
+def verify_theorem_1(n_rows: int, n_cols: int, budget: int = DEFAULT_ENUM_BUDGET) -> TheoremReport:
     """Maximize sum_c sqrt(size_c) over size compositions; expect balance.
 
-    For n_rows <= crosscheck_rows_limit, additionally checks on every
+    For n_rows <= CROSSCHECK_ROWS_LIMIT (6), additionally checks on every
     one-hot matrix that the dense-SVD nuclear norm matches the closed form
     within 1e-9, which justifies the composition-level search.
     """
@@ -176,7 +159,7 @@ def verify_theorem_1(
     predicted = balanced_sizes(n_rows, n_cols)
     params = {"b": n_rows, "c": n_cols, "budget": budget}
     crosscheck_ok = True
-    if n_rows <= crosscheck_rows_limit:
+    if n_rows <= CROSSCHECK_ROWS_LIMIT:
         stack, _ = _one_hot_label_stack(n_rows, n_cols, budget)
         dense = _singular_values_stack(stack).sum(axis=1)
         formula = np.sqrt(stack.sum(axis=1)).sum(axis=1)
@@ -269,25 +252,17 @@ def verify_theorem_3(
     argmax = _argbest_multisets(comps, values, best, VALUE_TOL)
     params = {"b": n_rows, "c": n_cols, "r": r, "budget": budget}
     if r == 1.0:
-        return TheoremReport(
-            theorem=3,
-            params=params,
-            argmax=argmax,
-            optimum=best,
-            predicted=None,
-            verdict="descriptive",
-            tolerance=VALUE_TOL,
-            seed=None,
-        )
-    predicted = balanced_sizes(n_rows, n_cols)
-    ok = argmax == [list(predicted.sizes)]
+        predicted, verdict = None, "descriptive"
+    else:
+        predicted = list(balanced_sizes(n_rows, n_cols).sizes)
+        verdict = "pass" if argmax == [predicted] else "fail"
     return TheoremReport(
         theorem=3,
         params=params,
         argmax=argmax,
         optimum=best,
-        predicted=list(predicted.sizes),
-        verdict="pass" if ok else "fail",
+        predicted=predicted,
+        verdict=verdict,
         tolerance=VALUE_TOL,
         seed=None,
     )
@@ -378,9 +353,7 @@ def verify_theorem_6(
     stack, labels = _one_hot_label_stack(n_rows, n_cols, budget)
     values = _ns_stack(stack, r, alpha, epsilon)
     bound = 1.0 / alpha + epsilon * n_rows
-    injective = np.array(
-        [len(set(lab.tolist())) == n_rows for lab in labels], dtype=bool
-    )
+    injective = np.all(np.diff(np.sort(labels, axis=1), axis=1) > 0, axis=1)
     at_bound = np.abs(values - bound) <= BOUND_TOL
     attain_ok = bool(np.array_equal(at_bound, injective))
     below_ok = bool(np.all(values[~injective] < bound)) if (~injective).any() else True
@@ -429,7 +402,7 @@ def verify_all(
     1e-6.  Statement 6 is emitted as "skipped" when B > C.
     """
     if epsilon is None:
-        epsilon = 0.0 if n_rows > n_cols else 1e-6
+        epsilon = LossConfig("nsm").resolved_epsilon(n_rows, n_cols)
     reports = [
         verify_theorem_1(n_rows, n_cols, budget),
         verify_theorem_2(n_rows, n_cols, r, trials=trials, seed=seed, ascent=ascent),

@@ -1,4 +1,4 @@
-"""Row-stochastic prediction matrices: validation, structure queries, enumeration.
+"""Row-stochastic prediction matrices: validation, structure queries, size compositions.
 
 A prediction matrix holds one probability row per sample and one column per
 class.  This module owns that contract for the whole package: finite entries
@@ -12,9 +12,8 @@ values can be shared freely between threads.
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -107,31 +106,16 @@ def is_one_hot_rows(P: np.ndarray, tol: float = 0.0) -> bool:
     return bool(np.all(near_one.sum(axis=1) == 1) and np.all(near_one | near_zero))
 
 
-def one_hot_matrix(labels: Sequence[int], n_cols: int) -> np.ndarray:
-    """Build the one-hot-row matrix whose row i is hot in column ``labels[i]``."""
-    labels = np.asarray(labels, dtype=int)
-    mat = np.zeros((labels.size, n_cols))
-    mat[np.arange(labels.size), labels] = 1.0
-    return mat
+def one_hot_matrix(labels, n_cols: int) -> np.ndarray:
+    """Build one-hot rows: row i is hot in column ``labels[..., i]``.
 
-
-def enumerate_one_hot(
-    n_rows: int, n_cols: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> Iterator[np.ndarray]:
-    """Yield all ``n_cols ** n_rows`` one-hot-row matrices.
-
-    Ordering is lexicographic on the tuple of hot-column labels, so the
-    stream is reproducible byte for byte.
+    ``labels`` may have any leading shape: a (B,) vector gives one (B, C)
+    matrix, an (S, B) stack of label rows the (S, B, C) stack of matrices.
     """
-    count = n_cols**n_rows
-    if count > budget:
-        raise BudgetError(f"{n_cols}^{n_rows} = {count} one-hot matrices exceeds budget {budget}")
-    for labels in itertools.product(range(n_cols), repeat=n_rows):
-        yield one_hot_matrix(labels, n_cols)
-
-
-def count_size_compositions(total: int, parts: int) -> int:
-    return math.comb(total + parts - 1, parts - 1)
+    labels = np.asarray(labels, dtype=int)
+    mat = np.zeros(labels.shape + (n_cols,))
+    mat.reshape(-1, n_cols)[np.arange(labels.size), labels.ravel()] = 1.0
+    return mat
 
 
 def enumerate_size_compositions(
@@ -141,7 +125,7 @@ def enumerate_size_compositions(
 
     Lexicographic ascending order, e.g. (0, 2), (1, 1), (2, 0) for 2 into 2.
     """
-    count = count_size_compositions(total, parts)
+    count = math.comb(total + parts - 1, parts - 1)
     if count > budget:
         raise BudgetError(f"{count} compositions of {total} into {parts} parts exceeds budget {budget}")
 
@@ -156,20 +140,12 @@ def enumerate_size_compositions(
     return rec(total, parts)
 
 
-def project_row_simplex(v) -> np.ndarray:
-    """Euclidean projection of a vector onto the probability simplex.
+def project_rows(rows: np.ndarray) -> np.ndarray:
+    """Euclidean projection of every row of ``rows`` (shape (..., C)) onto the simplex.
 
-    Exact sort-and-threshold method: find the shift tau with
+    Exact sort-and-threshold method: per row, find the shift tau with
     sum(max(v - tau, 0)) = 1 and clip.  Idempotent on feasible points.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("project_row_simplex expects a 1-D vector")
-    return project_rows(v[None, :])[0]
-
-
-def project_rows(rows: np.ndarray) -> np.ndarray:
-    """Project every row of ``rows`` (shape (..., C)) onto the simplex."""
     rows = np.asarray(rows, dtype=float)
     shape = rows.shape
     flat = rows.reshape(-1, shape[-1])

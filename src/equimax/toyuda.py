@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import IO, Optional
+from typing import Optional
 
 import numpy as np
 
 from .losses import LossConfig, discriminability, equity_metric, gradient, loss_value
-from .probmat import read_array_csv
 
 DIVERGENCE_CE = 1e3
 
@@ -58,9 +57,9 @@ class ToyUdaConfig:
     seed: int = 0xE0517
 
     def __post_init__(self):
-        object.__setattr__(self, "target_counts", tuple(int(n) for n in self.target_counts))
+        object.__setattr__(self, "target_counts", _as_tuple("target_counts", self.target_counts, int))
         if self.shift is not None:
-            object.__setattr__(self, "shift", tuple(float(s) for s in self.shift))
+            object.__setattr__(self, "shift", _as_tuple("shift", self.shift, float))
         if self.classes < 2:
             raise ValueError(f"classes must be >= 2, got {self.classes}")
         if self.features < 2:
@@ -89,6 +88,13 @@ class ToyUdaConfig:
             return np.asarray(self.shift, dtype=float)
         direction = np.ones(self.features) / np.sqrt(self.features)
         return 1.5 * self.noise_scale * direction
+
+
+def _as_tuple(name: str, values, kind) -> tuple:
+    try:
+        return tuple(kind(v) for v in values)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}") from None
 
 
 @dataclass
@@ -128,23 +134,11 @@ class ToyUdaResult:
         with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(self.to_dict(), sort_keys=True, indent=2))
         with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            write_trajectory_csv(self, fh)
+            fh.write("# epoch,ce,lt,acc,equity,disc\n")
+            for e in range(self.ce.size):
+                row = (self.ce[e], self.lt[e], self.accuracy[e], self.equity[e], self.disc[e])
+                fh.write(f"{e}," + ",".join(repr(float(v)) for v in row) + "\n")
         return json_path, csv_path
-
-
-def write_trajectory_csv(result: ToyUdaResult, target: IO[str]) -> None:
-    target.write("# epoch,ce,lt,acc,equity,disc\n")
-    for e in range(result.ce.size):
-        row = (result.ce[e], result.lt[e], result.accuracy[e], result.equity[e], result.disc[e])
-        target.write(f"{e}," + ",".join(repr(float(v)) for v in row) + "\n")
-
-
-def read_trajectory_csv(source: str | IO[str]) -> np.ndarray:
-    """Read a trajectory CSV back as an (epochs, 6) array of epoch,ce,lt,acc,equity,disc."""
-    rows = read_array_csv(source)
-    if rows.shape[1] != 6:
-        raise ValueError(f"expected 6 trajectory columns, got {rows.shape[1]}")
-    return rows
 
 
 def class_centers(classes: int, features: int, spread: float) -> np.ndarray:
@@ -278,14 +272,10 @@ def train(config: ToyUdaConfig) -> ToyUdaResult:
             _, _, _, grad_w, grad_b = objective_and_gradients(
                 weights, bias, xs[src_idx], ys[src_idx], xt[tgt_idx], config.loss
             )
-            if config.momentum > 0.0:
-                vel_w = config.momentum * vel_w - config.learning_rate * grad_w
-                vel_b = config.momentum * vel_b - config.learning_rate * grad_b
-                weights = weights + vel_w
-                bias = bias + vel_b
-            else:
-                weights = weights - config.learning_rate * grad_w
-                bias = bias - config.learning_rate * grad_b
+            vel_w = config.momentum * vel_w - config.learning_rate * grad_w
+            vel_b = config.momentum * vel_b - config.learning_rate * grad_b
+            weights = weights + vel_w
+            bias = bias + vel_b
         probs_src = softmax(xs @ weights + bias)
         with np.errstate(divide="ignore"):
             ce = float(-np.log(probs_src[np.arange(n_src), ys]).mean())

@@ -14,6 +14,7 @@ import pytest
 from equimax.cli import run as cli_run
 from equimax.losses import LossConfig, cws, gradient, loss_value, ns, nuclear_norm
 from equimax.oracle import (
+    _one_hot_label_stack,
     balanced_sizes,
     hessian_diag,
     verify_theorem_1,
@@ -23,9 +24,9 @@ from equimax.oracle import (
 )
 from equimax.optimizer import AscentConfig, maximize, surface
 from equimax.probmat import (
+    DEFAULT_ENUM_BUDGET,
     EXAMPLES_4X2,
     class_sizes,
-    enumerate_one_hot,
     is_one_hot_rows,
 )
 from equimax.toyuda import ToyUdaConfig, train
@@ -141,7 +142,7 @@ def test_criterion_07_nuclear_equals_c_times_cws():
     worst = 0.0
     for n_rows in range(1, 7):
         for n_cols in range(2, 5):
-            for mat in enumerate_one_hot(n_rows, n_cols):
+            for mat in _one_hot_label_stack(n_rows, n_cols, DEFAULT_ENUM_BUDGET)[0]:
                 err = abs(nuclear_norm(mat) - n_cols * cws(mat, 0.5))
                 worst = max(worst, err)
                 assert err <= 1e-9, (n_rows, n_cols)

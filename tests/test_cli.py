@@ -6,7 +6,6 @@ import pytest
 
 from equimax import losses
 from equimax.cli import run
-from equimax.optimizer import read_surface_csv
 from equimax.probmat import DimensionError, EXAMPLES_4X2, read_array_csv, read_matrix_csv, write_matrix_csv
 
 
@@ -128,7 +127,7 @@ class TestSurface:
     def test_bnm_csv_and_sidecar(self, tmp_path):
         out = tmp_path / "s.csv"
         assert run(["surface", "--loss", "bnm", "--grid", "41", "--out", str(out)]) == 0
-        rows = read_surface_csv(str(out))
+        rows = read_array_csv(str(out))
         assert rows.shape == (41 * 41, 3)
         doc = json.loads((tmp_path / "s.csv.argmax.json").read_text())
         assert doc["argmax"] == [[0.0, 1.0], [1.0, 0.0]]
@@ -164,6 +163,13 @@ class TestOptimize:
         assert "best value (negated loss): 1.41421" in out
         assert "class sizes: [2.0, 2.0]" in out
 
+    @pytest.mark.parametrize("b,c", [(0, 3), (3, 1)])
+    def test_rejects_degenerate_shape(self, b, c, capsys):
+        argv = ["optimize", "--loss", "ms", "--b", str(b), "--c", str(c)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: need n_rows >= 1 and n_cols >= 2, got {b}, {c}\n"
+
     def test_retire_reason_counts(self, capsys):
         argv = ["optimize", "--loss", "nsm", "--r", "0.5", "--epsilon", "1e-6", "--b", "3", "--c", "3"]
         assert run(argv + ["--inits", "48", "--steps", "600"]) == 0
@@ -196,6 +202,25 @@ class TestToyuda:
         assert lines[0] == "# epoch,ce,lt,acc,equity,disc"
         assert len(lines) == 6
         assert "final accuracy:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "cfg, key",
+        [
+            ({"epochs": 5, "colour": "red"}, "colour"),
+            ({"seed": 3}, "seed"),
+            ({"loss": 0.5}, "loss"),
+            ({"target_counts": 5}, "target_counts"),
+            ({"loss": {"R": 1.0}}, "R"),
+        ],
+        ids=["unknown_key", "seed_key", "loss_not_object", "target_counts_scalar", "loss_key_typo"],
+    )
+    def test_bad_config_is_one_error_line(self, cfg, key, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        argv = ["toyuda", "--loss", "nsm", "--lambda", "1", "--config", str(tmp_path / "cfg.json")]
+        assert run(argv + ["--out-prefix", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert not (tmp_path / "run.json").exists()
 
     def test_round_trip_csv_matches_json(self, tmp_path):
         code = run(
@@ -248,8 +273,6 @@ def test_machine_outputs_round_trip(tmp_path):
 
 
 def test_toyuda_csv_round_trips_through_reader(tmp_path):
-    from equimax.toyuda import read_trajectory_csv
-
     code = run(
         [
             "toyuda",
@@ -281,7 +304,7 @@ def test_toyuda_csv_round_trips_through_reader(tmp_path):
         ]
     )
     assert code == 0
-    rows = read_trajectory_csv(str(tmp_path / "run.csv"))
+    rows = read_array_csv(str(tmp_path / "run.csv"))
     assert rows.shape == (4, 6)
     assert np.array_equal(rows[:, 0], np.arange(4))
 
@@ -289,8 +312,8 @@ def test_toyuda_csv_round_trips_through_reader(tmp_path):
 
 @pytest.mark.parametrize(
     "reader",
-    [read_matrix_csv, read_array_csv, read_surface_csv, "eval --renormalize"],
-    ids=["read_matrix_csv", "read_array_csv", "read_surface_csv", "eval_renormalize"],
+    [read_matrix_csv, read_array_csv, "eval --renormalize"],
+    ids=["read_matrix_csv", "read_array_csv", "eval_renormalize"],
 )
 @pytest.mark.parametrize(
     "text, message",

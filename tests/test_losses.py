@@ -21,7 +21,8 @@ from equimax.losses import (
     nuclear_norm,
     svd,
 )
-from equimax.probmat import EXAMPLES_2X2, EXAMPLES_4X2, class_sizes, enumerate_one_hot
+from equimax.oracle import _one_hot_label_stack
+from equimax.probmat import DEFAULT_ENUM_BUDGET, EXAMPLES_2X2, EXAMPLES_4X2, class_sizes
 
 from conftest import random_matrix
 
@@ -258,7 +259,7 @@ class TestNuclearNorm:
 
     def test_one_hot_closed_form(self):
         for n_rows, n_cols in [(1, 2), (3, 2), (4, 3), (5, 2), (6, 4)]:
-            for mat in enumerate_one_hot(n_rows, n_cols):
+            for mat in _one_hot_label_stack(n_rows, n_cols, DEFAULT_ENUM_BUDGET)[0]:
                 expect = np.sqrt(class_sizes(mat)).sum()
                 assert abs(nuclear_norm(mat) - expect) <= 1e-9
 
@@ -302,8 +303,8 @@ def _bnm_stacks():
     }
     stacks["eye(2)"] = np.eye(2)[None]
     stacks["full((4, 2), 0.5)"] = np.full((1, 4, 2), 0.5)
-    stacks["one-hot rows 3x2"] = np.stack(list(enumerate_one_hot(3, 2)))
-    stacks["one-hot rows 4x3"] = np.stack(list(enumerate_one_hot(4, 3)))
+    stacks["one-hot rows 3x2"] = _one_hot_label_stack(3, 2, DEFAULT_ENUM_BUDGET)[0]
+    stacks["one-hot rows 4x3"] = _one_hot_label_stack(4, 3, DEFAULT_ENUM_BUDGET)[0]
     # more entries than _CHUNK_FLOATS, with rank-deficient matrices in every chunk
     big = np.stack([random_matrix(rng, 12, 6) for _ in range(1200)])
     big[::97] = _zero_column(rng, 12, 6)

@@ -13,11 +13,10 @@ from equimax.optimizer import (
     SurfaceGrid,
     gradient_profile,
     maximize,
-    read_surface_csv,
     surface,
     write_surface_csv,
 )
-from equimax.probmat import class_sizes, is_one_hot_rows, validate
+from equimax.probmat import class_sizes, is_one_hot_rows, read_array_csv, validate
 
 FAST = AscentConfig(inits=24, steps=400)
 
@@ -196,7 +195,7 @@ class TestSurfaceIo:
         text = path.read_text()
         assert text.startswith("# p1,p2,value\n")
         assert len(text.splitlines()) == 1 + 21 * 21
-        back = read_surface_csv(str(path))
+        back = read_array_csv(str(path))
         assert back.shape == (441, 3)
         assert np.array_equal(back[:, 0], grid.p1)
         assert np.array_equal(back[:, 2], grid.values)
@@ -209,7 +208,7 @@ class TestSurfaceIo:
         grid = surface(LossConfig("ms"), 5)
         buf = io.StringIO()
         write_surface_csv(grid, buf)
-        back = read_surface_csv(io.StringIO(buf.getvalue()))
+        back = read_array_csv(io.StringIO(buf.getvalue()))
         assert np.array_equal(back[:, 2], grid.values)
 
 

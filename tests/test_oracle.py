@@ -6,6 +6,7 @@ import pytest
 from equimax.losses import LossConfig, loss_value
 from equimax.oracle import (
     TheoremReport,
+    _one_hot_label_stack,
     balanced_sizes,
     hessian_diag,
     reports_to_json,
@@ -17,7 +18,7 @@ from equimax.oracle import (
     verify_theorem_6,
 )
 from equimax.optimizer import AscentConfig
-from equimax.probmat import BudgetError, class_sizes, enumerate_one_hot
+from equimax.probmat import DEFAULT_ENUM_BUDGET, BudgetError, class_sizes
 
 FAST_ASCENT = AscentConfig(inits=24, steps=400)
 # seeds on which a snap-only vertex polish gave wrong verdicts past 5x5
@@ -227,7 +228,7 @@ class TestSizeSufficiency:
         for n_rows in range(1, 7):
             for n_cols in (2, 3, 4):
                 seen = {}
-                for mat in enumerate_one_hot(n_rows, n_cols):
+                for mat in _one_hot_label_stack(n_rows, n_cols, DEFAULT_ENUM_BUDGET)[0]:
                     key = tuple(sorted(class_sizes(mat).astype(int)))
                     vals = tuple(loss_value(mat, cfg) for cfg in cfgs)
                     if key in seen:

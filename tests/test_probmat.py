@@ -5,18 +5,18 @@ import numpy as np
 import pytest
 
 from equimax import probmat
+from equimax.oracle import _one_hot_label_stack
 from equimax.probmat import (
     BudgetError,
+    DEFAULT_ENUM_BUDGET,
     DimensionError,
     DomainError,
     EXAMPLES_2X2,
     EXAMPLES_4X2,
     class_sizes,
-    enumerate_one_hot,
     enumerate_size_compositions,
     is_one_hot_rows,
     one_hot_matrix,
-    project_row_simplex,
     project_rows,
     read_matrix_csv,
     renormalize_rows,
@@ -149,17 +149,25 @@ class TestOneHot:
         mat = one_hot_matrix([2, 0], 3)
         assert np.array_equal(mat, [[0, 0, 1], [1, 0, 0]])
 
+    def test_label_stack_matches_rows(self, rng):
+        labels = rng.integers(0, 4, size=(50, 6))
+        stack = one_hot_matrix(labels, 4)
+        assert stack.shape == (50, 6, 4)
+        for mat, row in zip(stack, labels):
+            assert np.array_equal(mat, one_hot_matrix(row, 4))
+
 
 class TestEnumerateOneHot:
+    # the one-hot enumeration lives in the oracle, as _one_hot_label_stack
     def test_2x2_is_the_extreme_point_family(self):
-        mats = list(enumerate_one_hot(2, 2))
+        mats = list(_one_hot_label_stack(2, 2, DEFAULT_ENUM_BUDGET)[0])
         assert len(mats) == 4
         expect = {tuple(np.asarray(m).ravel()) for m in EXAMPLES_2X2.values()}
         assert {tuple(m.ravel()) for m in mats} == expect
 
     @pytest.mark.parametrize("n_rows,n_cols,count", [(1, 3, 3), (3, 2, 8), (2, 4, 16)])
     def test_counts(self, n_rows, n_cols, count):
-        mats = list(enumerate_one_hot(n_rows, n_cols))
+        mats = list(_one_hot_label_stack(n_rows, n_cols, DEFAULT_ENUM_BUDGET)[0])
         assert len(mats) == count
         assert len({m.tobytes() for m in mats}) == count
         for m in mats:
@@ -167,13 +175,13 @@ class TestEnumerateOneHot:
             assert np.all(class_sizes(m) == class_sizes(m).astype(int))
 
     def test_lexicographic_order(self):
-        labels = [tuple(np.argmax(m, axis=1)) for m in enumerate_one_hot(3, 2)]
+        labels = [tuple(np.argmax(m, axis=1)) for m in _one_hot_label_stack(3, 2, DEFAULT_ENUM_BUDGET)[0]]
         assert labels == sorted(labels)
         assert labels[0] == (0, 0, 0)
 
     def test_budget(self):
         with pytest.raises(BudgetError, match="4\\^12"):
-            list(enumerate_one_hot(12, 4, budget=1000))
+            _one_hot_label_stack(12, 4, budget=1000)
 
 
 class TestCompositions:
@@ -194,7 +202,7 @@ class TestCompositions:
 
 class TestSimplexProjection:
     def test_feasible_unchanged(self):
-        assert np.allclose(project_row_simplex([0.2, 0.8]), [0.2, 0.8], atol=1e-15)
+        assert np.allclose(project_rows([0.2, 0.8]), [0.2, 0.8], atol=1e-15)
 
     def test_outside_point(self):
         # brute-force oracle: dense grid search over the 2-simplex
@@ -202,27 +210,27 @@ class TestSimplexProjection:
         cand = np.stack([grid, 1 - grid], axis=1)
         target = np.array([2.0, 0.0])
         best = cand[np.argmin(((cand - target) ** 2).sum(axis=1))]
-        got = project_row_simplex(target)
+        got = project_rows(target)
         assert np.allclose(got, best, atol=1e-3)
         assert np.allclose(got, [1.0, 0.0], atol=1e-12)
 
     def test_symmetric_point(self):
-        assert np.allclose(project_row_simplex([0.5, 0.5, 0.5]), [1 / 3] * 3, atol=1e-15)
+        assert np.allclose(project_rows([0.5, 0.5, 0.5]), [1 / 3] * 3, atol=1e-15)
 
     def test_idempotent(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 8))
             vec = rng.normal(size=n) * rng.uniform(0.1, 5)
-            once = project_row_simplex(vec)
+            once = project_rows(vec)
             assert abs(once.sum() - 1.0) < 1e-12
             assert np.all(once >= 0)
-            assert np.max(np.abs(project_row_simplex(once) - once)) < 1e-12
+            assert np.max(np.abs(project_rows(once) - once)) < 1e-12
 
     def test_matches_rowwise_batch(self, rng):
         block = rng.normal(size=(6, 4))
         batch = project_rows(block)
         for i in range(6):
-            assert np.allclose(batch[i], project_row_simplex(block[i]), atol=1e-14)
+            assert np.allclose(batch[i], project_rows(block[i]), atol=1e-14)
 
     def test_brute_force_3d(self, rng):
         # compare against dense enumeration on the 3-simplex
@@ -232,7 +240,7 @@ class TestSimplexProjection:
         for _ in range(5):
             v = rng.normal(size=3)
             best = pts[np.argmin(((pts - v) ** 2).sum(axis=1))]
-            assert np.linalg.norm(project_row_simplex(v) - best) < 2e-2
+            assert np.linalg.norm(project_rows(v) - best) < 2e-2
 
 
 class TestCanonicalExamples:
