@@ -58,7 +58,7 @@ from .probmat import (
     validate,
     write_matrix_csv,
 )
-from .toyuda import ToyUdaConfig, ToyUdaResult, generate, train
+from .toyuda import ToyUdaConfig, ToyUdaResult, train
 
 __version__ = "0.1.0"
 
@@ -83,7 +83,6 @@ __all__ = [
     "discriminability",
     "enumerate_size_compositions",
     "equity_metric",
-    "generate",
     "gradient",
     "gradient_profile",
     "hessian_diag",

@@ -159,6 +159,13 @@ def _check_keys(where: str, obj, allowed: list[str]) -> None:
         raise ValueError(f"unknown key(s) {unknown} in {where}, expected some of {allowed}")
 
 
+def _loss_number(key: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key!r} in config key 'loss' must be a number, got {value!r}") from None
+
+
 def _cmd_toyuda(args) -> int:
     overrides = {}
     if args.config:
@@ -169,11 +176,12 @@ def _cmd_toyuda(args) -> int:
     _check_keys("the toyuda config", overrides, fields)
     loss_over = overrides.pop("loss", {})
     _check_keys("config key 'loss'", loss_over, ["r", "alpha", "epsilon"])
+    epsilon = loss_over.get("epsilon", "auto")
     loss_cfg = LossConfig(
         args.loss,
-        r=float(loss_over.get("r", 0.5)),
-        alpha=float(loss_over.get("alpha", 1.0)),
-        epsilon=loss_over.get("epsilon", "auto"),
+        r=_loss_number("r", loss_over.get("r", 0.5)),
+        alpha=_loss_number("alpha", loss_over.get("alpha", 1.0)),
+        epsilon=epsilon if isinstance(epsilon, str) else _loss_number("epsilon", epsilon),
         lam=args.lam,
     )
     config = toyuda.ToyUdaConfig(loss=loss_cfg, seed=args.seed, **overrides)

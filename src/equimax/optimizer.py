@@ -31,7 +31,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .losses import LossConfig, _loss_grads_stack, _loss_values_stack
-from .probmat import one_hot_matrix, project_rows
+from .probmat import one_hot_matrix, project_rows, write_matrix_csv
 
 ACCEPT_TOL = 1e-10
 TOL_GRAD = 1e-7
@@ -310,10 +310,9 @@ def write_surface_csv(surf: SurfaceGrid, target: str | IO[str]) -> str | None:
     When ``target`` is a path the sidecar lands at ``<target>.argmax.json``
     and its path is returned; for streams only the CSV is written.
     """
-    lines = ["# p1,p2,value"]
-    for a, b, v in zip(surf.p1, surf.p2, surf.values):
-        lines.append(f"{float(a)!r},{float(b)!r},{float(v)!r}")
-    text = "\n".join(lines) + "\n"
+    write_matrix_csv(target, np.column_stack((surf.p1, surf.p2, surf.values)), header="# p1,p2,value")
+    if hasattr(target, "write"):
+        return None
     sidecar = {
         "loss": surf.config.kind,
         "r": surf.config.r,
@@ -323,11 +322,6 @@ def write_surface_csv(surf: SurfaceGrid, target: str | IO[str]) -> str | None:
         "max_value": surf.max_value,
         "argmax": [[a, b] for a, b in surf.argmax],
     }
-    if hasattr(target, "write"):
-        target.write(text)
-        return None
-    with open(target, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
     sidecar_path = str(target) + ".argmax.json"
     with open(sidecar_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(sidecar, sort_keys=True, indent=2))

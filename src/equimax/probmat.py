@@ -8,6 +8,13 @@ through :func:`validate` and never re-checks.
 
 Matrices are plain float64 ``numpy`` arrays, returned read-only so validated
 values can be shared freely between threads.
+
+CSV I/O lives here as well.  :func:`read_array_csv` is the one parser, and
+:func:`write_matrix_csv` is the one writer: gradient, example and surface
+CSVs all come from it.  Each cell is written as the shortest round-trip
+``repr`` of its float64 value, with '\\n' line endings, the same bytes as
+formatting every cell with ``repr(float(x))``.  Neither function loops in
+Python over cells.
 """
 
 from __future__ import annotations
@@ -190,36 +197,44 @@ def read_array_csv(source: str | IO[str]) -> np.ndarray:
     decimal separator.  Blank lines are skipped, and so are lines starting
     with '#' before the first data row.  ``source`` is a path or an open
     text stream.  No probability validation: gradients and surfaces are
-    read with it too.
+    read with it too.  Every token goes through Python's ``float``, all of
+    them in one pass; lines are scanned one by one only to name the first
+    unparseable one.
 
     Raises
     ------
     DimensionError
         For an unparseable line (a '#' line after the data included),
-        ragged rows, or input without data rows.
+        ragged rows, or input without data rows.  An unparseable line is
+        reported before ragged rows.
     """
     if hasattr(source, "read"):
-        lines = source.read().splitlines()
+        text = source.read()
     else:
         with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    rows = []
-    for line in lines:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#") and not rows:
-            continue
-        try:
-            rows.append([float(tok) for tok in stripped.split(",")])
-        except ValueError as exc:
-            raise DimensionError(f"unparseable CSV line {stripped!r}: {exc}") from None
-    if not rows:
+            text = fh.read()
+    lines = [line for line in map(str.strip, text.splitlines()) if line]
+    start = 0
+    while start < len(lines) and lines[start].startswith("#"):
+        start += 1
+    lines = lines[start:]
+    if not lines:
         raise DimensionError("CSV input contains no data rows")
-    widths = {len(r) for r in rows}
+    tokens = ",".join(lines).split(",")
+    try:
+        values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+    except ValueError:
+        # the joined tokens are the lines' tokens in order, so some line fails here
+        for line in lines:
+            try:
+                list(map(float, line.split(",")))
+            except ValueError as exc:
+                raise DimensionError(f"unparseable CSV line {line!r}: {exc}") from None
+        raise
+    widths = {line.count(",") + 1 for line in lines}
     if len(widths) != 1:
         raise DimensionError(f"ragged CSV input, row widths {sorted(widths)}")
-    return np.array(rows)
+    return values.reshape(len(lines), -1)
 
 
 def read_matrix_csv(source: str | IO[str]) -> np.ndarray:
@@ -228,13 +243,28 @@ def read_matrix_csv(source: str | IO[str]) -> np.ndarray:
 
 
 def write_matrix_csv(target: str | IO[str], mat: np.ndarray, header: str | None = None) -> None:
-    """Write a matrix as CSV with full float64 precision (round-trip safe)."""
+    """Write a 2-D array as CSV, one row per line; the one CSV writer.
+
+    Each cell is the shortest round-trip ``repr`` of its float64 value, so
+    :func:`read_array_csv` gives the same bits back.  Lines end in '\\n'.
+    A ``header`` not starting with '#' gets a "# " prefix.
+
+    Raises
+    ------
+    DimensionError
+        If ``mat`` is not 2-D.
+    """
     mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2:
+        raise DimensionError(f"expected a 2-D matrix, got {mat.ndim} dimension(s)")
+    n_rows, n_cols = mat.shape
     lines = []
     if header:
         lines.append(header if header.startswith("#") else "# " + header)
-    for row in mat:
-        lines.append(",".join(repr(float(x)) for x in row))
+    if n_rows:
+        # one %-format over all cells: '%r' is repr, and no list of cell strings is built
+        row_format = ",".join(["%r"] * n_cols)
+        lines.append("\n".join([row_format] * n_rows) % tuple(mat.ravel().tolist()))
     text = "\n".join(lines) + "\n"
     if hasattr(target, "write"):
         target.write(text)

@@ -19,7 +19,8 @@ for evaluation only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -27,6 +28,8 @@ import numpy as np
 from .losses import LossConfig, discriminability, equity_metric, gradient, loss_value
 
 DIVERGENCE_CE = 1e3
+# annotation of a ToyUdaConfig field -> the values it accepts, named for errors
+_NUMBER_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
 
 
 class TrainingDivergedError(RuntimeError):
@@ -57,6 +60,13 @@ class ToyUdaConfig:
     seed: int = 0xE0517
 
     def __post_init__(self):
+        # a JSON config can put a string, list or boolean where a number belongs
+        for f in fields(self):
+            if f.type in _NUMBER_FIELD_KINDS:
+                kind, noun = _NUMBER_FIELD_KINDS[f.type]
+                value = getattr(self, f.name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{f.name} must be {noun}, got {value!r}")
         object.__setattr__(self, "target_counts", _as_tuple("target_counts", self.target_counts, int))
         if self.shift is not None:
             object.__setattr__(self, "shift", _as_tuple("shift", self.shift, float))
@@ -186,16 +196,6 @@ def _generate(rng: np.random.Generator, config: ToyUdaConfig):
         xt.append(pts)
         yt.append(np.full(count, c, dtype=int))
     return np.vstack(xs), np.concatenate(ys), np.vstack(xt), np.concatenate(yt)
-
-
-def generate(config: ToyUdaConfig):
-    """Synthesize (source features, source labels, target features, target labels).
-
-    Deterministic from ``config.seed`` and identical to the data used by
-    :func:`train` for the same config.
-    """
-    data_rng, _ = _rngs(config.seed)
-    return _generate(data_rng, config)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

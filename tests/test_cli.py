@@ -1,3 +1,4 @@
+import io
 import json
 import os
 
@@ -6,7 +7,15 @@ import pytest
 
 from equimax import losses
 from equimax.cli import run
-from equimax.probmat import DimensionError, EXAMPLES_4X2, read_array_csv, read_matrix_csv, write_matrix_csv
+from equimax.probmat import (
+    DimensionError,
+    EXAMPLES_4X2,
+    read_array_csv,
+    read_matrix_csv,
+    renormalize_rows,
+    validate,
+    write_matrix_csv,
+)
 
 
 @pytest.fixture
@@ -211,8 +220,18 @@ class TestToyuda:
             ({"loss": 0.5}, "loss"),
             ({"target_counts": 5}, "target_counts"),
             ({"loss": {"R": 1.0}}, "R"),
+            ({"epochs": "5"}, "epochs"),
+            ({"loss": {"r": [1]}}, "'r'"),
         ],
-        ids=["unknown_key", "seed_key", "loss_not_object", "target_counts_scalar", "loss_key_typo"],
+        ids=[
+            "unknown_key",
+            "seed_key",
+            "loss_not_object",
+            "target_counts_scalar",
+            "loss_key_typo",
+            "epochs_string",
+            "loss_r_list",
+        ],
     )
     def test_bad_config_is_one_error_line(self, cfg, key, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
@@ -310,6 +329,41 @@ def test_toyuda_csv_round_trips_through_reader(tmp_path):
 
 
 
+def _per_line_read_array_csv(source):
+    """The line-by-line, token-by-token parser the package used to run, the reference for the bulk one."""
+    if hasattr(source, "read"):
+        lines = source.read().splitlines()
+    else:
+        with open(source, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    rows = []
+    for line in lines:
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#") and not rows:
+            continue
+        try:
+            rows.append([float(tok) for tok in stripped.split(",")])
+        except ValueError as exc:
+            raise DimensionError(f"unparseable CSV line {stripped!r}: {exc}") from None
+    if not rows:
+        raise DimensionError("CSV input contains no data rows")
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise DimensionError(f"ragged CSV input, row widths {sorted(widths)}")
+    return np.array(rows)
+
+
+def _outcome(call):
+    """("ok", shape, bytes) of the returned array, or (exception type, message)."""
+    try:
+        arr = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "ok", arr.shape, arr.tobytes()
+
+
 @pytest.mark.parametrize(
     "reader",
     [read_matrix_csv, read_array_csv, "eval --renormalize"],
@@ -322,16 +376,45 @@ def test_toyuda_csv_round_trips_through_reader(tmp_path):
         ("0.5,0.5\n0.2,0.3,0.5\n", "ragged CSV input"),
         ("0.5,0.5\n0.5,half\n", "unparseable CSV line '0.5,half'"),
         ("", "no data rows"),
+        ("1,2,\n", "unparseable CSV line '1,2,'"),
+        (",\n", "unparseable CSV line ','"),
+        (" 1 , 2 \n", None),
+        ("1_0,2\n", None),
+        ("# h\r\n0.25,0.75\r\n0.5,0.5\r\n", None),
+        ("0.25,0.75\n\n  \n0.5,0.5\n\n", None),
+        ("0.5,0.5\n0.2,0.3,0.5\n0.5,half\n0.1,0.9\n", "unparseable CSV line '0.5,half'"),
     ],
-    ids=["comment_after_data", "ragged", "unparseable", "empty"],
+    ids=[
+        "comment_after_data",
+        "ragged",
+        "unparseable",
+        "empty",
+        "trailing_comma",
+        "lone_comma",
+        "padded_tokens",
+        "underscore_digits",
+        "crlf",
+        "blank_lines_between_rows",
+        "ragged_and_unparseable",
+    ],
 )
 def test_csv_readers_share_one_parser(reader, text, message, tmp_path, capsys):
     path = tmp_path / "in.csv"
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8"))
     if reader == "eval --renormalize":
-        assert run(["eval", "--input", str(path), "--renormalize"]) == 1
-        assert message in capsys.readouterr().err
+        want = _outcome(lambda: validate(renormalize_rows(_per_line_read_array_csv(str(path)))))
+        code = run(["eval", "--input", str(path), "--renormalize"])
+        err = capsys.readouterr().err
+        if want[0] == "ok":
+            assert code == 0 and err == ""
+        else:
+            assert code == 1 and err == f"error: {want[1]}\n"
     else:
-        with pytest.raises(DimensionError) as info:
-            reader(str(path))
-        assert message in str(info.value)
+        wrap = validate if reader is read_matrix_csv else (lambda arr: arr)
+        want = _outcome(lambda: wrap(_per_line_read_array_csv(str(path))))
+        assert _outcome(lambda: reader(str(path))) == want
+        # a stream is read without newline translation, so '\r\n' reaches the line split
+        want = _outcome(lambda: wrap(_per_line_read_array_csv(io.StringIO(text, newline=""))))
+        assert _outcome(lambda: reader(io.StringIO(text, newline=""))) == want
+    if message is not None:
+        assert want[0] is DimensionError and message in want[1]

@@ -204,6 +204,20 @@ class TestSurfaceIo:
         assert doc["argmax"] == [[0.0, 1.0], [1.0, 0.0]]
         assert doc["grid"] == 21
 
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_bytes_match_per_cell_repr_loop(self, kind, tmp_path):
+        grid = surface(LossConfig(kind, epsilon=1e-6), 41)
+        lines = ["# p1,p2,value"]
+        for a, b, v in zip(grid.p1, grid.p2, grid.values):
+            lines.append(f"{float(a)!r},{float(b)!r},{float(v)!r}")
+        want = "\n".join(lines) + "\n"
+        path = tmp_path / "s.csv"
+        write_surface_csv(grid, str(path))
+        assert path.read_bytes() == want.encode("utf-8")
+        buf = io.StringIO()
+        assert write_surface_csv(grid, buf) is None
+        assert buf.getvalue() == want
+
     def test_stream_round_trip(self):
         grid = surface(LossConfig("ms"), 5)
         buf = io.StringIO()

@@ -279,3 +279,44 @@ class TestCsv:
     def test_invalid_matrix_rejected(self):
         with pytest.raises(DomainError):
             read_matrix_csv(io.StringIO("0.6,0.6\n0.5,0.5\n"))
+
+    @pytest.mark.parametrize("n_cols", range(1, 13))
+    @pytest.mark.parametrize("header", [None, "plain header", "# hashed header"])
+    def test_writer_bytes_match_per_cell_repr_loop(self, n_cols, header, rng, tmp_path):
+        special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, 1e16, 0.1, 1.0 / 3.0])
+        mats = [
+            np.empty((0, n_cols)),
+            rng.dirichlet(np.ones(n_cols), size=7),
+            rng.standard_normal((5, n_cols)) * 10.0 ** rng.integers(-300, 300, size=(5, n_cols)),
+            one_hot_matrix(rng.integers(0, n_cols, size=6), n_cols),
+            np.resize(special, (4, n_cols)),
+        ]
+        for mat in mats:
+            want = _per_cell_csv_text(mat, header)
+            buf = io.StringIO()
+            write_matrix_csv(buf, mat, header=header)
+            assert buf.getvalue() == want
+            path = tmp_path / "m.csv"
+            write_matrix_csv(path, mat, header=header)
+            assert path.read_bytes() == want.encode("utf-8")
+
+    def test_zero_rows_write_only_the_header(self):
+        buf = io.StringIO()
+        write_matrix_csv(buf, np.empty((0, 3)), header="# empty")
+        assert buf.getvalue() == "# empty\n"
+
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 2, 2)], ids=["0d", "1d", "3d"])
+    def test_writer_rejects_non_2d(self, shape):
+        message = rf"^expected a 2-D matrix, got {len(shape)} dimension\(s\)$"
+        with pytest.raises(DimensionError, match=message):
+            write_matrix_csv(io.StringIO(), np.full(shape, 0.5))
+
+
+def _per_cell_csv_text(mat, header=None) -> str:
+    """CSV text from the per-cell ``repr(float(x))`` loop, the byte reference for the writer."""
+    lines = []
+    if header:
+        lines.append(header if header.startswith("#") else "# " + header)
+    for row in np.asarray(mat, dtype=float):
+        lines.append(",".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"

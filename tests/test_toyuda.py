@@ -7,11 +7,11 @@ import pytest
 
 from equimax.losses import LossConfig, loss_value
 from equimax.probmat import validate
+from equimax import toyuda
 from equimax.toyuda import (
     ToyUdaConfig,
     TrainingDivergedError,
     class_centers,
-    generate,
     objective_and_gradients,
     softmax,
     train,
@@ -20,6 +20,11 @@ from equimax.toyuda import (
 from conftest import fd_gradient
 
 SMALL = ToyUdaConfig(epochs=12, source_per_class=30, target_counts=(18, 9, 3), batch_size=10)
+
+
+def generate(cfg):
+    """The (xs, ys, xt, yt) data ``train(cfg)`` draws from its seed."""
+    return toyuda._generate(toyuda._rngs(cfg.seed)[0], cfg)
 
 
 class TestConfig:
@@ -47,6 +52,25 @@ class TestConfig:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             ToyUdaConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, key",
+        [
+            ({"epochs": "5"}, "epochs"),
+            ({"classes": 3.0}, "classes"),
+            ({"batch_size": True}, "batch_size"),
+            ({"noise_scale": None}, "noise_scale"),
+            ({"learning_rate": "0.1"}, "learning_rate"),
+        ],
+        ids=["epochs_str", "classes_float", "batch_size_bool", "noise_scale_none", "learning_rate_str"],
+    )
+    def test_rejects_wrong_type_naming_the_field(self, kwargs, key):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            ToyUdaConfig(**kwargs)
+
+    def test_accepts_numpy_ints_and_int_rates(self):
+        cfg = ToyUdaConfig(epochs=np.int64(3), learning_rate=1, center_spread=np.float64(2.0))
+        assert cfg.epochs == 3 and cfg.learning_rate == 1
 
     def test_default_shift_magnitude(self):
         cfg = ToyUdaConfig(noise_scale=0.4)
