@@ -366,6 +366,19 @@ class TestBnmKernel:
         assert np.array_equal(stack_values, values) and np.array_equal(stack_grads, grads)
 
 
+def _lean_path_inputs(rng):
+    """Matrices for the single-matrix value paths: shapes, layouts, empty classes."""
+    mats = [P1, P2, P3, np.ones((5, 1)), np.zeros((0, 3)), np.full((4, 2), 0.5)]
+    for n_rows, n_cols in ((1, 1), (1, 4), (3, 1), (7, 2), (40, 3), (256, 32), (33, 17)):
+        mats.append(random_matrix(rng, n_rows, n_cols))
+        mats.append(rng.random((n_rows, n_cols)) * 10.0 ** rng.uniform(-6, 6))
+        mats.append(np.eye(n_cols)[rng.integers(0, n_cols, n_rows)])
+    mats.append(np.asfortranarray(random_matrix(rng, 30, 5)))
+    mats.append(random_matrix(rng, 30, 5)[::3])
+    mats.append(random_matrix(rng, 8, 6)[:, ::2])
+    return mats
+
+
 class TestCws:
     def test_golden_values(self):
         assert abs(cws(P1, 0.5) - 1.0) <= 1e-9
@@ -400,6 +413,12 @@ class TestCws:
     def test_r_range(self):
         with pytest.raises(ValueError):
             cws(P1, 1.5)
+
+    def test_single_matrix_path_matches_kernel_bits(self, rng):
+        for mat in _lean_path_inputs(rng):
+            for r in (0.0, 0.3, 0.5, 1.0):
+                kernel = -losses._loss_values_stack("cwsm", mat[None], r, 1.0, 0.0)[0]
+                assert cws(mat, r).hex() == float(kernel).hex(), (mat.shape, r)
 
 
 class TestNs:
@@ -451,6 +470,22 @@ class TestNs:
         mat = np.array([[1, 0, 0], [0, 1, 0]], dtype=float)
         with pytest.raises(ZeroDivisionError):
             ns(mat, 0.0, 0.0, 0.0)
+
+    def test_single_matrix_r1_path_matches_kernel_bits(self, rng):
+        def outcome(fn):
+            try:
+                return float(fn()).hex()
+            except ZeroDivisionError as exc:
+                return str(exc)
+
+        guarded = 0
+        for mat in _lean_path_inputs(rng) + [np.array([[1, 0, 0], [0, 1, 0]], dtype=float)]:
+            for alpha, epsilon in ((1.0, 0.0), (0.5, 1e-6), (2.0, 0.25), (1, 0), (0.0, 0.0)):
+                public = outcome(lambda: ns(mat, 1.0, alpha, epsilon))
+                kernel = outcome(lambda: -losses._loss_values_stack("nsm", mat[None], 1.0, alpha, epsilon)[0])
+                assert public == kernel, (mat.shape, alpha, epsilon)
+                guarded += public.startswith("normalized-squares denominator")
+        assert guarded >= 2  # the guard is reached, with the kernel's message
 
     def test_pair_convention_blocked_path_consistent(self, rng):
         # large-B blocked evaluation equals the naive formula
