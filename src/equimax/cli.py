@@ -160,10 +160,9 @@ def _check_keys(where: str, obj, allowed: list[str]) -> None:
 
 
 def _loss_number(key: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key!r} in config key 'loss' must be a number, got {value!r}") from None
+    # the rule ToyUdaConfig applies to its own number fields
+    toyuda._check_number(f"{key!r} in config key 'loss'", value)
+    return float(value)
 
 
 def _cmd_toyuda(args) -> int:

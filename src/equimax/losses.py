@@ -28,12 +28,11 @@ Conventions baked into the formulas, for values and gradients alike:
 
 Each of the four losses has one kernel over an (N, B, C) stack that returns
 the values and, when asked, the gradients; the single-matrix functions, the
-optimizer and the brute-force checks all go through it.  The one exception
-is the values of ``cws`` (no empty class) and ``ns`` (r = 1) on a single
-matrix: they run the kernel's reductions on the 2-D matrix directly, with
-the same bits, to halve a fixed cost that dominates small matrices.  The
-``bnm`` kernel reads the singular values and the gradient -U V^T / B off one
-Jacobi pass per matrix and also flags which gradients are exact.
+optimizer and the brute-force checks all go through it.  The ``cwsm`` and
+``nsm`` kernels work over any leading dimensions, so ``cws`` and ``ns`` hand
+them the matrix itself and skip the stack wrapping.  The ``bnm`` kernel reads
+the singular values and the gradient -U V^T / B off one Jacobi pass per
+matrix and also flags which gradients are exact.
 
 The SVD is a deterministic, seed-free one-sided Jacobi rather than a library
 call, so results are bit-reproducible across platforms and the nuclear-norm
@@ -387,7 +386,7 @@ def _singular_values_stack(stack: np.ndarray) -> np.ndarray:
 
 
 def _squares_stack(stack: np.ndarray) -> np.ndarray:
-    return np.einsum("nbc,nbc->n", stack, stack)
+    return np.einsum("...bc,...bc->...", stack, stack)
 
 
 def _ms(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
@@ -422,65 +421,72 @@ def _bnm(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | N
 
 
 def _cwsm(stack: np.ndarray, r: float, want_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    n_cols = stack.shape[2]
-    sq_mass = np.einsum("nbc,nbc->nc", stack, stack)
-    size = stack.sum(axis=1)
-    pos = size > 0.0
-    pow_r = np.power(size, r, where=pos, out=np.ones_like(size))
-    terms = np.zeros_like(size)
-    np.divide(sq_mass, pow_r, where=pos, out=terms)
-    values = -terms.sum(axis=1) / n_cols
+    """Negated class weighted squares of a (..., B, C) array and, when asked, its gradient."""
+    n_cols = stack.shape[-1]
+    sq_mass = np.einsum("...bc,...bc->...c", stack, stack)
+    size = stack.sum(axis=-2)
+    if size.size and size.min() > 0.0:
+        # no empty class: plain ufuncs, same bits as the masked ones below
+        pow_r = np.power(size, r)
+        terms = sq_mass / pow_r
+    else:
+        pos = size > 0.0
+        pow_r = np.power(size, r, where=pos, out=np.ones_like(size))
+        terms = np.zeros_like(size)
+        np.divide(sq_mass, pow_r, where=pos, out=terms)
+    values = -terms.sum(axis=-1) / n_cols
     if not want_grad:
         return values, None
+    pos = size > 0.0
     # d cws / dP_ic = (2 P_ic / size_c^r - r * sq_mass_c / size_c^(r+1)) / C
     coef_lin = np.where(pos, 1.0 / pow_r, 0.0)
     coef_const = np.zeros_like(size)
     np.divide(r * terms, size, where=pos, out=coef_const)
-    return values, -(2.0 * stack * coef_lin[:, None, :] - coef_const[:, None, :]) / n_cols
+    return values, -(2.0 * stack * coef_lin[..., None, :] - coef_const[..., None, :]) / n_cols
 
 
 def _nsm(
     stack: np.ndarray, r: float, alpha: float, epsilon: float, want_grad: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Negated normalized squares and, when asked, its gradient.
+    """Negated normalized squares of a (..., B, C) array and, when asked, its gradient.
 
     The pair sum over ordered sample pairs i != j of overlap_ij^r has an
     O(BC) closed form at r = 1.  Otherwise one row-blocked pass over the
     overlaps adds it up together with the gradient rows 2r * W @ P, where
     W_ij = overlap_ij^(r-1) for i != j.
     """
-    n_mats, n_rows, _ = stack.shape
+    n_rows = stack.shape[-2]
     squares = _squares_stack(stack)
     d_pair = None
     if r == 1.0:
         # sum_{i != j} overlap_ij == sum_c size_c^2 - squares
-        size = stack.sum(axis=1)
-        pair_sum = np.einsum("nc,nc->n", size, size) - squares
+        size = stack.sum(axis=-2)
+        pair_sum = np.einsum("...c,...c->...", size, size) - squares
         if want_grad:
-            d_pair = 2.0 * size[:, None, :] - 2.0 * stack
+            d_pair = 2.0 * size[..., None, :] - 2.0 * stack
     else:
         # fixed ~512 KB overlap tile per matrix so per-element cost is uniform in B
         block = max(1, min(n_rows, 65536 // n_rows))
-        pair_sum = np.zeros(n_mats)
+        pair_sum = np.zeros(stack.shape[:-2])
         d_pair = np.zeros_like(stack) if want_grad else None
         rows = np.arange(n_rows)
-        trans = stack.transpose(0, 2, 1)
+        trans = stack.swapaxes(-1, -2)
         for start in range(0, n_rows, block):
-            overlap = np.matmul(stack[:, start : start + block, :], trans)
+            overlap = np.matmul(stack[..., start : start + block, :], trans)
             np.maximum(overlap, 0.0, out=overlap)
             span = rows[start : start + block]
-            diag = (slice(None), span - start, span)
+            diag = (..., span - start, span)
             if want_grad and r > 0.0:
                 weights = np.zeros_like(overlap)
                 np.power(overlap, r - 1.0, where=overlap > _PAIR_GRAD_FLOOR, out=weights)
                 weights[diag] = 0.0
-                d_pair[:, start : start + block] = 2.0 * r * np.matmul(weights, stack)
+                d_pair[..., start : start + block, :] = 2.0 * r * np.matmul(weights, stack)
             if r == 0.0:
                 overlap = overlap > 0.0
             else:
                 np.power(overlap, r, out=overlap)
-            pair_sum += overlap.sum(axis=(1, 2))
-            pair_sum -= overlap[diag].sum(axis=1)
+            pair_sum += overlap.sum(axis=(-2, -1))
+            pair_sum -= overlap[diag].sum(axis=-1)
     denom = pair_sum + alpha * squares
     if np.any(denom < _DENOM_TOL):
         raise ZeroDivisionError(
@@ -492,13 +498,13 @@ def _nsm(
     d_squares = 2.0 * stack
     d_denom = d_pair + alpha * d_squares
     grads = (
-        d_squares * denom[:, None, None] - squares[:, None, None] * d_denom
-    ) / (denom * denom)[:, None, None] + epsilon * d_squares
+        d_squares * denom[..., None, None] - squares[..., None, None] * d_denom
+    ) / (denom * denom)[..., None, None] + epsilon * d_squares
     return -values, -grads
 
 
 def _ns_stack(stack: np.ndarray, r: float, alpha: float, epsilon: float) -> np.ndarray:
-    """Positive normalized-squares values of a stack."""
+    """Positive normalized-squares values of a (..., B, C) array."""
     return -_nsm(stack, r, alpha, epsilon, False)[0]
 
 
@@ -569,14 +575,7 @@ def cws(P: np.ndarray, r: float) -> float:
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must be in [0, 1], got {r}")
-    mat = _as_matrix(P)
-    size = mat.sum(axis=0)
-    if size.size and size.min() > 0.0:
-        # the kernel's reductions on the 2-D matrix, without the masked ufuncs
-        # that only an empty class needs: same bits, a third less fixed cost
-        sq_mass = np.einsum("bc,bc->c", mat, mat)
-        return float((sq_mass / np.power(size, r)).sum()) / mat.shape[1]
-    return -float(_cwsm(mat[None, :, :], r, False)[0][0])
+    return -float(_cwsm(_as_matrix(P), r, False)[0])
 
 
 def cwsm(P: np.ndarray, r: float) -> float:
@@ -595,17 +594,7 @@ def ns(P: np.ndarray, r: float, alpha: float, epsilon: float) -> float:
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must be in [0, 1], got {r}")
-    if r != 1.0:
-        return float(_ns_stack(_as_stack(P), r, alpha, epsilon)[0])
-    # the kernel's r = 1 closed form, its per-matrix scalars as Python floats:
-    # same bits, under half the fixed cost
-    mat = _as_matrix(P)
-    squares = float(np.einsum("bc,bc->", mat, mat))
-    size = mat.sum(axis=0)
-    denom = float(np.einsum("c,c->", size, size)) - squares + alpha * squares
-    if denom < _DENOM_TOL:
-        raise ZeroDivisionError(f"normalized-squares denominator {denom!r} below {_DENOM_TOL}")
-    return float(squares / denom + epsilon * squares)
+    return float(_ns_stack(_as_matrix(P), r, alpha, epsilon))
 
 
 def nsm(P: np.ndarray, r: float, alpha: float, epsilon: float) -> float:

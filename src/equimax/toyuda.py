@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -28,8 +29,6 @@ import numpy as np
 from .losses import LossConfig, discriminability, equity_metric, gradient, loss_value
 
 DIVERGENCE_CE = 1e3
-# annotation of a ToyUdaConfig field -> the values it accepts, named for errors
-_NUMBER_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
 
 
 class TrainingDivergedError(RuntimeError):
@@ -61,12 +60,8 @@ class ToyUdaConfig:
 
     def __post_init__(self):
         # a JSON config can put a string, list or boolean where a number belongs
-        for f in fields(self):
-            if f.type in _NUMBER_FIELD_KINDS:
-                kind, noun = _NUMBER_FIELD_KINDS[f.type]
-                value = getattr(self, f.name)
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+        for name, kind in _NUMBER_FIELDS.items():
+            _check_number(name, getattr(self, name), kind)
         object.__setattr__(self, "target_counts", _as_tuple("target_counts", self.target_counts, int))
         if self.shift is not None:
             object.__setattr__(self, "shift", _as_tuple("shift", self.shift, float))
@@ -100,11 +95,31 @@ class ToyUdaConfig:
         return 1.5 * self.noise_scale * direction
 
 
+# Python type of a number field -> the values it accepts
+_NUMBER_KINDS = {int: numbers.Integral, float: numbers.Real}
+# int and float fields of ToyUdaConfig, however they are annotated
+_NUMBER_FIELDS = {
+    name: _NUMBER_KINDS[hint]
+    for name, hint in typing.get_type_hints(ToyUdaConfig).items()
+    if hint in _NUMBER_KINDS
+}
+
+
+def _check_number(name: str, value, kind=numbers.Real) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a non-boolean ``kind``."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+
+
 def _as_tuple(name: str, values, kind) -> tuple:
     try:
-        return tuple(kind(v) for v in values)
-    except (TypeError, ValueError):
+        items = tuple(values)
+    except TypeError:
         raise ValueError(f"{name} must be a list of numbers, got {values!r}") from None
+    for item in items:
+        _check_number(f"each entry of {name}", item, _NUMBER_KINDS[kind])
+    return tuple(kind(v) for v in items)
 
 
 @dataclass

@@ -222,6 +222,10 @@ class TestToyuda:
             ({"loss": {"R": 1.0}}, "R"),
             ({"epochs": "5"}, "epochs"),
             ({"loss": {"r": [1]}}, "'r'"),
+            ({"loss": {"r": "0.5"}}, "'r'"),
+            ({"loss": {"alpha": True}}, "'alpha'"),
+            ({"loss": {"epsilon": False}}, "'epsilon'"),
+            ({"target_counts": [60.7, 30, 10.9]}, "target_counts"),
         ],
         ids=[
             "unknown_key",
@@ -231,6 +235,10 @@ class TestToyuda:
             "loss_key_typo",
             "epochs_string",
             "loss_r_list",
+            "loss_r_string",
+            "loss_alpha_bool",
+            "loss_epsilon_bool",
+            "target_counts_floats",
         ],
     )
     def test_bad_config_is_one_error_line(self, cfg, key, tmp_path, capsys):

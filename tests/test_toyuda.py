@@ -1,6 +1,6 @@
 import itertools
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -61,12 +61,37 @@ class TestConfig:
             ({"batch_size": True}, "batch_size"),
             ({"noise_scale": None}, "noise_scale"),
             ({"learning_rate": "0.1"}, "learning_rate"),
+            ({"target_counts": (60.7, 30, 10.9)}, "each entry of target_counts"),
+            ({"target_counts": ("60", True, 10)}, "each entry of target_counts"),
+            ({"shift": ("1", 0.0)}, "each entry of shift"),
+            ({"shift": (False, 0.0)}, "each entry of shift"),
         ],
-        ids=["epochs_str", "classes_float", "batch_size_bool", "noise_scale_none", "learning_rate_str"],
+        ids=[
+            "epochs_str",
+            "classes_float",
+            "batch_size_bool",
+            "noise_scale_none",
+            "learning_rate_str",
+            "counts_float",
+            "counts_str_bool",
+            "shift_str",
+            "shift_bool",
+        ],
     )
     def test_rejects_wrong_type_naming_the_field(self, kwargs, key):
         with pytest.raises(ValueError, match=f"^{key} must be"):
             ToyUdaConfig(**kwargs)
+
+    def test_type_check_covers_every_number_field(self):
+        number_fields = [
+            f.name
+            for f in fields(ToyUdaConfig)
+            if isinstance(f.default, (int, float)) and not isinstance(f.default, bool)
+        ]
+        assert len(number_fields) == 10
+        for name in number_fields:
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                ToyUdaConfig(**{name: "1"})
 
     def test_accepts_numpy_ints_and_int_rates(self):
         cfg = ToyUdaConfig(epochs=np.int64(3), learning_rate=1, center_spread=np.float64(2.0))
