@@ -41,12 +41,16 @@ matrices are first reduced to their square triangular factor by Householder
 QR (Drmac and Veselic 2008), and each sweep rotates the disjoint column
 pairs of one round-robin round at a time (Brent and Luk 1985) until a sweep
 finds every pair orthogonal to a relative 1e-14.  Single matrices and stacks
-go through the same path; no LAPACK routine is called.
+run the same rounds with the same formulas and get the same bits; a lone
+matrix with at most _SCALAR_PAIRS column pairs per round takes its rotation
+parameters as Python floats rather than numpy arrays, which costs less per
+call.  No LAPACK routine is called.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -67,6 +71,10 @@ SV_ZERO_TOL = 1e-10
 _PAIR_GRAD_FLOOR = 1e-300
 
 _JACOBI_TOL = 1e-14
+# A lone matrix whose rounds hold at most this many column pairs gets its
+# rotation parameters as Python floats: on so few pairs numpy's per-call
+# cost outweighs its vector arithmetic.
+_SCALAR_PAIRS = 4
 # entries per working array when a stack is decomposed chunk by chunk
 _CHUNK_FLOATS = 2**16
 _DENOM_TOL = 1e-15
@@ -182,6 +190,51 @@ def _round_robin(n: int) -> tuple[tuple[Union[slice, np.ndarray], Union[slice, n
     return tuple(rounds)
 
 
+@functools.lru_cache(maxsize=None)
+def _round_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The rounds of :func:`_round_robin` as (i, j) integer pairs."""
+    cols = np.arange(n)
+    return tuple(tuple(zip(cols[left].tolist(), cols[right].tolist())) for left, right in _round_robin(n))
+
+
+def _rotate_lone_round(
+    work: np.ndarray, norms: list[float], pairs: tuple[tuple[int, int], ...], ab: list[float], floor: float
+) -> bool:
+    """One round of a lone matrix's sweep, with the rotation parameters as Python floats.
+
+    ``work`` is the matrix's (n, m + n) working array and ``norms`` its
+    column norms, both updated in place; ``ab`` holds the pairs' inner
+    products.  Returns whether any pair needed a rotation.  Each step is the
+    vectorised round's, in the same order, so the bits are the same: float
+    ``+ - * /``, ``sqrt``, ``abs`` and ``copysign`` round alike in Python
+    and numpy, but ``c`` comes from numpy's power, which Python's ``**``
+    misses in the last bit in about 6 % of cases.  When one pair needs a
+    rotation, the others of the round get the identity (c = 1, s = 0), as in
+    the vectorised round, which keeps the signs of zero entries alike.
+    """
+    steps = []
+    rotated = False
+    for (i, j), prod in zip(pairs, ab):
+        aa, bb = norms[i], norms[j]
+        # two comparisons rather than max(): a NaN threshold skips the pair, as np.maximum does
+        if abs(prod) > floor and abs(prod) > _JACOBI_TOL * math.sqrt(aa * bb):
+            rotated = True
+            zeta = (bb - aa) / (2.0 * prod)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
+            c = (np.array([1.0 + t * t]) ** -0.5).item()
+            steps.append((i, j, c, c * t))
+            t *= prod
+            norms[i] = max(aa - t, 0.0)
+            norms[j] = max(bb + t, 0.0)
+        else:
+            steps.append((i, j, 1.0, 0.0))
+    if rotated:
+        for i, j, c, s in steps:
+            rows = work[i : j + 1 : j - i]  # rows i and j
+            rows[...] = c * rows + np.array([[-s], [s]]) * rows[::-1]
+    return rotated
+
+
 def _jacobi_orthogonalize(mats: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, int]:
     """Rotate the columns of each (m, n) matrix in ``mats`` until orthogonal.
 
@@ -190,7 +243,9 @@ def _jacobi_orthogonalize(mats: np.ndarray, max_sweeps: int) -> tuple[np.ndarray
     returned.  A sweep runs the round-robin rounds in order and rotates all
     pairs of a round at once, so the computation is deterministic.  Column
     norms are computed once per sweep and updated in closed form after each
-    rotation, leaving one inner product per pair and round.
+    rotation, leaving one inner product per pair and round.  A lone matrix
+    (N = 1) with at most _SCALAR_PAIRS pairs per round gets the same
+    rotations, bit for bit, from Python floats (:func:`_rotate_lone_round`).
     """
     n_mats, m, n = mats.shape
     # row j holds column j of the matrix followed by column j of the rotations
@@ -202,13 +257,17 @@ def _jacobi_orthogonalize(mats: np.ndarray, max_sweeps: int) -> tuple[np.ndarray
     # Rotation-invariant scale; inner products below this floor belong to
     # numerically-zero columns and are skipped (also keeps zeta finite).
     floor = 1e-32 * norms.sum(axis=1, keepdims=True)
-    rounds = _round_robin(n)
+    lone = n_mats == 1 and n // 2 <= _SCALAR_PAIRS
     for sweep in range(1, max_sweeps + 1):
         rotated = False
-        for left, right in rounds:
+        lone_norms = norms[0].tolist() if lone else None
+        for (left, right), pairs in zip(_round_robin(n), _round_pairs(n)):
             x = work[:, left]
             y = work[:, right]
             ab = np.einsum("npm,npm->np", x[:, :, :m], y[:, :, :m])
+            if lone:
+                rotated |= _rotate_lone_round(work[0], lone_norms, pairs, ab[0].tolist(), floor.item())
+                continue
             aa = norms[:, left]
             bb = norms[:, right]
             need = np.abs(ab) > np.maximum(_JACOBI_TOL * np.sqrt(aa * bb), floor)
@@ -269,6 +328,26 @@ def _orthogonalized(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return target, rots
 
 
+def _project_off(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row vectors ``v`` (..., 1, m) projected off the columns of ``basis`` (..., m, idx), twice."""
+    # v holds row vectors, so both products are plain matmuls
+    for _ in range(2):
+        v = v - np.matmul(np.matmul(v, basis), basis.swapaxes(-1, -2))
+    return v
+
+
+def _completion(basis: np.ndarray) -> np.ndarray:
+    """Normalized residual off ``basis`` (m, idx) of the first standard basis
+    vector whose residual keeps more than half its length."""
+    m = basis.shape[0]
+    for cand in range(m):
+        v = _project_off(basis, np.eye(1, m, cand))[0]
+        norm = np.linalg.norm(v)
+        if norm > 0.5:
+            return v / norm
+    raise ConvergenceError("failed to complete an orthonormal basis")
+
+
 def _orthonormalize_columns(q: np.ndarray) -> np.ndarray:
     """Re-orthonormalize the columns of every matrix in an (N, m, k) stack, in order.
 
@@ -276,32 +355,28 @@ def _orthonormalize_columns(q: np.ndarray) -> np.ndarray:
     Gram-Schmidt, twice is enough), for all matrices at once.  A column
     that keeps no more than half its length, such as the zero column of a
     vanishing singular value, is replaced by the first standard basis
-    vector whose residual keeps more than half its length.
+    vector whose residual keeps more than half its length.  A lone matrix
+    (N = 1) is worked on as 2-D arrays, which cost numpy less per call; the
+    products are the same matmuls, so the bits are the same.
     """
-    _, m, k = q.shape
+    n_mats, _, k = q.shape
     out = np.empty_like(q)
-
-    def project(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # v holds (1, m) row vectors, so both products are plain matmuls
-        for _ in range(2):
-            v = v - np.matmul(np.matmul(v, basis), basis.transpose(0, 2, 1))
-        return v
-
+    if n_mats == 1:
+        mat, fixed = q[0], out[0]
+        for idx in range(k):
+            basis = fixed[:, :idx]
+            v = _project_off(basis, mat[None, :, idx]) if idx else mat[None, :, 0]
+            norm = math.sqrt(np.einsum("im,im->", v, v))
+            fixed[:, idx] = _completion(basis) if norm <= 0.5 else v[0] / norm
+        return out
     for idx in range(k):
         basis = out[:, :, :idx]
-        v = project(basis, q[:, None, :, idx]) if idx else q[:, None, :, 0]
+        v = _project_off(basis, q[:, None, :, idx]) if idx else q[:, None, :, 0]
         norm = np.sqrt(np.einsum("nim,nim->n", v, v))
         redo = norm <= 0.5
         out[:, :, idx] = v[:, 0, :] / np.where(redo, 1.0, norm)[:, None]
         for mat in np.flatnonzero(redo):
-            for cand in range(m):
-                v = project(basis[mat : mat + 1], np.eye(1, m, cand)[None])[0, 0]
-                norm = np.linalg.norm(v)
-                if norm > 0.5:
-                    out[mat, :, idx] = v / norm
-                    break
-            else:
-                raise ConvergenceError("failed to complete an orthonormal basis")
+            out[mat, :, idx] = _completion(basis[mat])
     return out
 
 

@@ -151,6 +151,10 @@ def _one_hot_empty_class(rng, n_rows, n_cols):
     return np.eye(n_cols)[labels]
 
 
+def _rank_one(rng, n_rows, n_cols):
+    return np.tile(random_matrix(rng, 1, n_cols), (n_rows, 1))
+
+
 # near-singular but full-rank matrices: smallest singular value about 1e-9,
 # above SV_ZERO_TOL, so no column of U is filled in
 
@@ -213,6 +217,59 @@ class TestJacobiEngine:
         mat = random_matrix(rng, *shape)
         a, b = svd(mat), svd(mat)
         assert np.array_equal(a.u, b.u) and np.array_equal(a.s, b.s) and np.array_equal(a.v, b.v)
+
+    @pytest.mark.parametrize(
+        "shape", [(30, 2), (30, 3), (100, 3), (3, 30), (30, 4), (30, 9), (4, 10), (12, 10)], ids=lambda s: "%dx%d" % s
+    )
+    @pytest.mark.parametrize("make", [random_matrix, _zero_column, _duplicate_columns, _rank_one])
+    def test_lone_rounds_match_stack_rounds_bit_for_bit(self, rng, monkeypatch, shape, make):
+        # a lone matrix with at most _SCALAR_PAIRS pairs per round is rotated
+        # with Python-float parameters, a stack with the vectorised rounds;
+        # n = 10 (5 pairs) is the first size past that limit
+        lone_rounds = []
+        lone_round = losses._rotate_lone_round
+        monkeypatch.setattr(losses, "_rotate_lone_round", lambda *a: lone_rounds.append(1) or lone_round(*a))
+        mat = make(rng, *shape)
+        oriented = mat if shape[0] >= shape[1] else mat.T
+        n = oriented.shape[1]
+        alone = oriented[None].copy()
+        rots, sweeps = losses._jacobi_orthogonalize(alone, max_sweeps=100 * n)
+        assert bool(lone_rounds) == (n // 2 <= losses._SCALAR_PAIRS) == (n < 10)
+        lone_rounds.clear()
+        pair = np.stack([oriented, oriented])
+        pair_rots, pair_sweeps = losses._jacobi_orthogonalize(pair, max_sweeps=100 * n)
+        assert not lone_rounds
+        assert sweeps == pair_sweeps
+        assert rots.tobytes() == pair_rots[:1].tobytes()
+        assert alone.tobytes() == pair[:1].tobytes()
+
+    def test_lone_rounds_rotate_skipped_pairs_by_the_identity(self):
+        # column 0 is orthogonal to every other column, so its pair is skipped
+        # in each round; the vectorised round still rotates it by c = 1, s = 0,
+        # which turns its -0.0 into 0.0 beside the -1.0 of column 3, and the
+        # lone round must do the same
+        mat = np.array([[-0.0, 0.3, 0.5, -1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.2, 0.7, 0.1],
+                        [0.0, 0.4, 0.2, 0.3], [0.0, 0.1, 0.9, 0.2], [0.0, 0.5, 0.3, 0.6]])
+        alone, pair = mat[None].copy(), np.stack([mat, mat])
+        rots, sweeps = losses._jacobi_orthogonalize(alone, max_sweeps=400)
+        pair_rots, pair_sweeps = losses._jacobi_orthogonalize(pair, max_sweeps=400)
+        assert sweeps == pair_sweeps and rots.tobytes() == pair_rots[:1].tobytes()
+        assert alone.tobytes() == pair[:1].tobytes()
+        assert math.copysign(1.0, alone[0, 0, 0]) == 1.0
+
+    @pytest.mark.parametrize("make", [random_matrix, _zero_column, _duplicate_columns, _rank_one])
+    def test_lone_gram_schmidt_matches_stack_bit_for_bit(self, rng, monkeypatch, make):
+        completions = []
+        completion = losses._completion
+        monkeypatch.setattr(losses, "_completion", lambda basis: completions.append(1) or completion(basis))
+        mat = make(rng, 30, 3)
+        _, part, rots, sigma = next(losses._jacobi_chunks(mat[None]))
+        left = losses._sorted_factors(part, rots, sigma)[2][0]  # (30, 3) left factor
+        alone = losses._orthonormalize_columns(left[None])
+        # each vanishing singular value leaves a zero column, which is completed
+        assert len(completions) == 3 - np.linalg.matrix_rank(mat)
+        stack = losses._orthonormalize_columns(np.stack([left, left]))
+        assert alone.tobytes() == stack[:1].tobytes() == stack[1:].tobytes()
 
     def test_stack_chunks_match_lapack(self, rng, monkeypatch):
         stack = np.stack([random_matrix(rng, 20, 8) for _ in range(40)])
@@ -586,10 +643,12 @@ class TestPermutationSymmetry:
 
 
 def test_convergence_error_is_reported():
-    # the sweep cap is honored (tiny cap forces the failure path)
+    # the sweep cap is honored (tiny cap forces the failure path), on the
+    # Python-float rounds of lone matrices and on the vectorised rounds of a stack
     from equimax.losses import _jacobi_orthogonalize
 
     rng = np.random.default_rng(0)
-    mats = rng.random((1, 6, 6))
-    with pytest.raises(ConvergenceError, match="1 sweeps"):
-        _jacobi_orthogonalize(mats, max_sweeps=1)
+    for shape in ((1, 6, 6), (1, 8, 3), (2, 6, 6)):
+        mats = rng.random(shape)
+        with pytest.raises(ConvergenceError, match="1 sweeps"):
+            _jacobi_orthogonalize(mats, max_sweeps=1)
