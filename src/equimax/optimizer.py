@@ -211,14 +211,20 @@ def _size_values(
     On one-hot matrices every loss depends only on the multiset of class
     sizes, so each distinct multiset is evaluated once by the loss kernel,
     on the one-hot matrix whose rows fill the classes in descending size
-    order.
+    order.  The distinct multisets come from a 1-D lexicographic sort of
+    the descending size rows (first column primary), so they are scored in
+    ascending lexicographic order.
     """
     canon = -np.sort(-sizes, axis=1)
-    unique, inverse = np.unique(canon, axis=0, return_inverse=True)
-    bounds = np.cumsum(unique, axis=1)
+    order = np.lexsort(canon.T[::-1])
+    ranked = canon[order]
+    first = np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    bounds = np.cumsum(ranked[first], axis=1)
     labels = (np.arange(bounds[0, -1])[None, :, None] >= bounds[:, None, :]).sum(axis=2)
     one_hot = one_hot_matrix(labels, sizes.shape[1])
-    return -_loss_values_stack(kind, one_hot, r, alpha, epsilon)[inverse.ravel()]
+    return -_loss_values_stack(kind, one_hot, r, alpha, epsilon)[inverse]
 
 
 def _relabel_ascent(labels: np.ndarray, n_cols: int, score) -> None:

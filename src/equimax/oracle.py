@@ -197,6 +197,8 @@ def verify_theorem_2(
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"statement 2 covers 0 < r < 1 only, got r={r}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     u = rng.random((trials, 4))
     a = np.where(u[:, 0] < 0.1, 0.0, u[:, 1] * max(n_rows - 1, 1))

@@ -118,6 +118,16 @@ class TestVerify:
         assert run(["verify", "--theorem", "6", "--b", "4", "--c", "2", "--out", str(tmp_path / "x.json")]) == 1
         assert "B <= C" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theorem", ["2", "all"])
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_is_one_error_line(self, theorem, trials, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        argv = ["verify", "--theorem", theorem, "--b", "3", "--c", "3", "--trials", trials]
+        assert run(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: trials must be >= 1, got {trials}"]
+        assert not out.exists()
+
     def test_failed_verdict_nonzero_exit(self, tmp_path, monkeypatch):
         import equimax.cli as cli
 

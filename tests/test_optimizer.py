@@ -16,7 +16,7 @@ from equimax.optimizer import (
     surface,
     write_surface_csv,
 )
-from equimax.probmat import class_sizes, is_one_hot_rows, read_array_csv, validate
+from equimax.probmat import class_sizes, is_one_hot_rows, one_hot_matrix, read_array_csv, validate
 
 FAST = AscentConfig(inits=24, steps=400)
 
@@ -116,6 +116,41 @@ class TestRelabelSearch:
             want = -_loss_values_stack(kind, stack, r, 1.5, 1e-6)
             got = optimizer._size_values(kind, stack.sum(axis=1).astype(int), r, 1.5, 1e-6)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @staticmethod
+    def _unique_rows_size_values(kind, sizes, r, alpha, epsilon):
+        # the former grouping: a structured-row np.unique over the sorted sizes
+        canon = -np.sort(-sizes, axis=1)
+        unique, inverse = np.unique(canon, axis=0, return_inverse=True)
+        bounds = np.cumsum(unique, axis=1)
+        labels = (np.arange(bounds[0, -1])[None, :, None] >= bounds[:, None, :]).sum(axis=2)
+        one_hot = one_hot_matrix(labels, sizes.shape[1])
+        return -_loss_values_stack(kind, one_hot, r, alpha, epsilon)[inverse.ravel()]
+
+    @staticmethod
+    def _size_stacks(rng):
+        for n_rows in range(1, 13):
+            for n_cols in range(2, 11):
+                labels = rng.integers(0, n_cols, size=(30, n_rows))
+                labels = labels[rng.integers(0, 30, size=40)]  # duplicate rows
+                labels[:5] = 0  # a single class: every other class empty
+                yield (labels[:, :, None] == np.arange(n_cols)).sum(axis=1)
+        yield np.array([[2, 0, 1]])
+        yield np.tile([1, 3, 0, 2], (7, 1))
+        labels = rng.integers(0, 16, size=(60, 40))
+        labels[:20] = rng.integers(0, 3, size=(20, 40))
+        sizes = (labels[:, :, None] == np.arange(16)).sum(axis=1)
+        assert (40 + 1) ** 16 >= 2**63  # an int64 mixed-radix key would overflow here
+        yield np.concatenate([sizes, sizes[::-1]])
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_grouping_matches_unique_rows_byte_for_byte(self, rng, kind):
+        for sizes in self._size_stacks(rng):
+            for r in (0.5, 1.0):
+                want = self._unique_rows_size_values(kind, sizes, r, 1.5, 1e-6)
+                got = optimizer._size_values(kind, sizes, r, 1.5, 1e-6)
+                assert got.dtype == want.dtype and got.shape == want.shape == (len(sizes),)
+                assert got.tobytes() == want.tobytes(), (kind, sizes.shape, r)
 
     def test_moves_first_best_class_pair_on_last_row(self):
         labels = np.array([[0, 0, 0, 0], [1, 0, 1, 1]])

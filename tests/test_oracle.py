@@ -121,6 +121,17 @@ class TestTheorem2:
         with pytest.raises(ValueError):
             verify_theorem_2(4, 2, 1.0)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected_before_the_ascent(self, trials, monkeypatch):
+        import equimax.oracle as oracle
+
+        def no_ascent(*args, **kwargs):
+            raise AssertionError("ascent ran")
+
+        monkeypatch.setattr(oracle, "maximize", no_ascent)
+        with pytest.raises(ValueError, match=f"^trials must be >= 1, got {trials}$"):
+            verify_theorem_2(3, 3, 0.5, trials=trials)
+
     def test_balanced_argmax_at_6x6(self):
         for seed in ASCENT_SEEDS:
             ascent = AscentConfig(inits=48, steps=600, seed=seed)
