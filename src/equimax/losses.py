@@ -26,13 +26,14 @@ Conventions baked into the formulas, for values and gradients alike:
   below 1e-300 contribute nothing to the ``ns`` gradient.
 * An ``ns`` denominator below 1e-15 raises ZeroDivisionError.
 
-Each of the four losses has one kernel over an (N, B, C) stack that returns
-the values and, when asked, the gradients; the single-matrix functions, the
-optimizer and the brute-force checks all go through it.  The ``cwsm`` and
-``nsm`` kernels work over any leading dimensions, so ``cws`` and ``ns`` hand
-them the matrix itself and skip the stack wrapping.  The ``bnm`` kernel reads
-the singular values and the gradient -U V^T / B off one Jacobi pass per
-matrix and also flags which gradients are exact.
+Each of the four losses has one kernel over a (B, C) matrix or an
+(N, B, C) stack that returns the values and, when asked, the gradients; the
+single-matrix functions, the optimizer and the brute-force checks all go
+through it, and the single-matrix functions hand it the matrix itself.  The
+``bnm`` kernel reads the singular values and the gradient -U V^T / B off one
+Jacobi pass per matrix and also flags which gradients are exact; one matrix
+goes through that chain (Jacobi, sort, left factor, Gram-Schmidt, flags) as
+2-D arrays, with the same bits as a row of a stack.
 
 The SVD is a deterministic, seed-free one-sided Jacobi rather than a library
 call, so results are bit-reproducible across platforms and the nuclear-norm
@@ -236,17 +237,20 @@ def _rotate_lone_round(
 
 
 def _jacobi_orthogonalize(mats: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, int]:
-    """Rotate the columns of each (m, n) matrix in ``mats`` until orthogonal.
+    """Rotate the columns of an (m, n) matrix, or of each matrix in an (N, m, n) stack, until orthogonal.
 
-    ``mats`` has shape (N, m, n) with m >= n and is modified in place; the
-    accumulated right rotations (N, n, n) and the number of sweeps are
-    returned.  A sweep runs the round-robin rounds in order and rotates all
-    pairs of a round at once, so the computation is deterministic.  Column
-    norms are computed once per sweep and updated in closed form after each
-    rotation, leaving one inner product per pair and round.  A lone matrix
-    (N = 1) with at most _SCALAR_PAIRS pairs per round gets the same
-    rotations, bit for bit, from Python floats (:func:`_rotate_lone_round`).
+    ``mats`` has m >= n and is modified in place; the accumulated right
+    rotations, (n, n) or (N, n, n), and the number of sweeps are returned.
+    A sweep runs the round-robin rounds in order and rotates all pairs of a
+    round at once, so the computation is deterministic.  Column norms are
+    computed once per sweep and updated in closed form after each rotation,
+    leaving one inner product per pair and round.  A lone matrix with at
+    most _SCALAR_PAIRS pairs per round gets the same rotations, bit for bit,
+    from Python floats (:func:`_rotate_lone_round`).
     """
+    lone_input = mats.ndim == 2
+    if lone_input:
+        mats = mats[None]
     n_mats, m, n = mats.shape
     # row j holds column j of the matrix followed by column j of the rotations
     work = np.zeros((n_mats, n, m + n))
@@ -258,16 +262,29 @@ def _jacobi_orthogonalize(mats: np.ndarray, max_sweeps: int) -> tuple[np.ndarray
     # numerically-zero columns and are skipped (also keeps zeta finite).
     floor = 1e-32 * norms.sum(axis=1, keepdims=True)
     lone = n_mats == 1 and n // 2 <= _SCALAR_PAIRS
+    rounds = _round_robin(n)
+    lone_views = [None] * len(rounds)
+    if lone:
+        floor, lone_work = floor.item(), work[0]
+        # A round whose columns are two slices reads views of work, taken
+        # once here; index arrays gather copies, which go stale after the round.
+        lone_views = [
+            (work[:, left][:, :, :m], work[:, right][:, :, :m])
+            if isinstance(left, slice) and isinstance(right, slice) else None
+            for left, right in rounds
+        ]
     for sweep in range(1, max_sweeps + 1):
         rotated = False
         lone_norms = norms[0].tolist() if lone else None
-        for (left, right), pairs in zip(_round_robin(n), _round_pairs(n)):
+        for (left, right), pairs, lone_view in zip(rounds, _round_pairs(n), lone_views):
+            if lone:
+                x_cols, y_cols = lone_view or (work[:, left][:, :, :m], work[:, right][:, :, :m])
+                ab = np.einsum("npm,npm->np", x_cols, y_cols)
+                rotated |= _rotate_lone_round(lone_work, lone_norms, pairs, ab[0].tolist(), floor)
+                continue
             x = work[:, left]
             y = work[:, right]
             ab = np.einsum("npm,npm->np", x[:, :, :m], y[:, :, :m])
-            if lone:
-                rotated |= _rotate_lone_round(work[0], lone_norms, pairs, ab[0].tolist(), floor.item())
-                continue
             aa = norms[:, left]
             bb = norms[:, right]
             need = np.abs(ab) > np.maximum(_JACOBI_TOL * np.sqrt(aa * bb), floor)
@@ -288,41 +305,42 @@ def _jacobi_orthogonalize(mats: np.ndarray, max_sweeps: int) -> tuple[np.ndarray
             work[:, left] = new_x
         if not rotated:
             mats[...] = cols.transpose(0, 2, 1)
-            return work[:, :, m:].transpose(0, 2, 1).copy(), sweep
+            rots = work[:, :, m:].transpose(0, 2, 1).copy()
+            return (rots[0] if lone_input else rots), sweep
         norms = np.einsum("nkm,nkm->nk", cols, cols)
     raise ConvergenceError(f"Jacobi SVD did not converge within {max_sweeps} sweeps")
 
 
-def _householder_r(stack: np.ndarray) -> np.ndarray:
-    """Triangular factor R (N, n, n) of ``stack = Q @ R`` for each (m, n) matrix, m >= n.
+def _householder_r(mats: np.ndarray) -> np.ndarray:
+    """Triangular factor R (..., n, n) of ``mats = Q @ R`` for an (m, n) matrix or each of a stack, m >= n.
 
     Plain Householder reflections, one column at a time; a column whose
     remaining part is already zero is left alone.
     """
-    a = stack.copy()
-    n = a.shape[2]
+    a = mats.copy()
+    n = a.shape[-1]
     for k in range(n):
-        x = a[:, k:, k]
-        norm = np.sqrt(np.einsum("nm,nm->n", x, x))
-        head = x[:, 0]
+        x = a[..., k:, k]
+        norm = np.sqrt(np.einsum("...m,...m->...", x, x))
+        head = x[..., 0]
         # v = x - alpha e1 with alpha = -sign(x0) |x|, so v.v = 2 |x| (|x| + |x0|)
         v = x.copy()
-        v[:, 0] += np.where(head >= 0.0, norm, -norm)
+        v[..., 0] += np.where(head >= 0.0, norm, -norm)
         vv = 2.0 * norm * (norm + np.abs(head))
         scale = np.divide(2.0, vv, out=np.zeros_like(vv), where=vv > 0.0)
-        proj = np.matmul(v[:, None, :], a[:, k:, k:])[:, 0, :] * scale[:, None]
-        a[:, k:, k:] -= v[:, :, None] * proj[:, None, :]
-    return np.triu(a[:, :n, :])
+        proj = np.matmul(v[..., None, :], a[..., k:, k:])[..., 0, :] * scale[..., None]
+        a[..., k:, k:] -= v[..., :, None] * proj[..., None, :]
+    return np.triu(a[..., :n, :])
 
 
 def _orthogonalized(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi-rotate an (N, m, n) stack, m >= n; returns (rotated, rotations V).
+    """Jacobi-rotate an (m, n) matrix or an (N, m, n) stack, m >= n; returns (rotated, rotations V).
 
     Tall matrices (m >= 2n, n >= 5) are first reduced to their n x n factor
     R, so the rotated matrices are R @ V instead of work @ V.  Either way
     their column norms are the singular values of ``work``.
     """
-    _, m, n = work.shape
+    m, n = work.shape[-2:]
     target = _householder_r(work) if m >= 2 * n and n >= 5 else work.copy()
     rots, _ = _jacobi_orthogonalize(target, max_sweeps=100 * n)
     return target, rots
@@ -349,25 +367,24 @@ def _completion(basis: np.ndarray) -> np.ndarray:
 
 
 def _orthonormalize_columns(q: np.ndarray) -> np.ndarray:
-    """Re-orthonormalize the columns of every matrix in an (N, m, k) stack, in order.
+    """Re-orthonormalize the columns of an (m, k) matrix or of every matrix in an (N, m, k) stack, in order.
 
     A column is projected off the already-fixed columns twice (classical
     Gram-Schmidt, twice is enough), for all matrices at once.  A column
     that keeps no more than half its length, such as the zero column of a
     vanishing singular value, is replaced by the first standard basis
-    vector whose residual keeps more than half its length.  A lone matrix
-    (N = 1) is worked on as 2-D arrays, which cost numpy less per call; the
-    products are the same matmuls, so the bits are the same.
+    vector whose residual keeps more than half its length.  A matrix takes
+    its norms as Python floats; the products are the same matmuls as a
+    stack's, so the bits are the same.
     """
-    n_mats, _, k = q.shape
+    k = q.shape[-1]
     out = np.empty_like(q)
-    if n_mats == 1:
-        mat, fixed = q[0], out[0]
+    if q.ndim == 2:
         for idx in range(k):
-            basis = fixed[:, :idx]
-            v = _project_off(basis, mat[None, :, idx]) if idx else mat[None, :, 0]
+            basis = out[:, :idx]
+            v = _project_off(basis, q[None, :, idx]) if idx else q[None, :, 0]
             norm = math.sqrt(np.einsum("im,im->", v, v))
-            fixed[:, idx] = _completion(basis) if norm <= 0.5 else v[0] / norm
+            out[:, idx] = _completion(basis) if norm <= 0.5 else v[0] / norm
         return out
     for idx in range(k):
         basis = out[:, :, :idx]
@@ -380,39 +397,53 @@ def _orthonormalize_columns(q: np.ndarray) -> np.ndarray:
     return out
 
 
+def _jacobi_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jacobi-rotate a (B, C) matrix or an (N, B, C) stack.
+
+    Returns (oriented A (..., m, k) with m >= k, rotations V, unsorted
+    singular values); wide matrices are transposed.
+    """
+    work = mats.swapaxes(-1, -2) if mats.shape[-2] < mats.shape[-1] else mats
+    rotated, rots = _orthogonalized(work)
+    return work, rots, np.sqrt(np.einsum("...mk,...mk->...k", rotated, rotated))
+
+
 def _jacobi_chunks(stack: np.ndarray):
     """Jacobi-rotate an (N, B, C) stack in chunks of about _CHUNK_FLOATS entries.
 
-    Yields (matrix slice, oriented chunk (n, m, k) with m >= k, rotations V,
-    unsorted singular values) per chunk, so the working arrays stay small
-    however many matrices the stack holds.  Wide matrices are transposed.
+    Yields (matrix slice, :func:`_jacobi_factors` of those matrices) per
+    chunk, so the working arrays stay small however many matrices the stack
+    holds.
     """
     n_mats, n_rows, n_cols = stack.shape
-    work = stack.transpose(0, 2, 1) if n_rows < n_cols else stack
     chunk = max(1, _CHUNK_FLOATS // max(1, n_rows * n_cols))
     for start in range(0, n_mats, chunk):
-        part = work[start : start + chunk]
-        rotated, rots = _orthogonalized(part)
-        yield slice(start, start + chunk), part, rots, np.sqrt(np.einsum("nmk,nmk->nk", rotated, rotated))
+        rows = slice(start, start + chunk)
+        yield (rows, *_jacobi_factors(stack[rows]))
 
 
 def _sorted_factors(
     part: np.ndarray, rots: np.ndarray, sigma: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort one chunk's factors by descending singular value.
+    """Sort the factors of one oriented matrix or chunk by descending singular value.
 
     Returns (sigma, rotations V, left factor A V / sigma) for the oriented
-    chunk A.  Left columns whose singular value is at or below
+    matrix or chunk A.  Left columns whose singular value is at or below
     SV_ZERO_TOL * max(1, sigma_0) are zero.
     """
-    order = np.argsort(-sigma, axis=1, kind="stable")
-    sigma = np.take_along_axis(sigma, order, axis=1)
-    # sorting the rows of V^T leaves each V column-major, as column indexing
-    # of one matrix does, so A V rounds the same either way; the left column
-    # of a near-zero sigma magnifies that rounding by sigma_0 / sigma
-    rots = np.take_along_axis(rots.transpose(0, 2, 1), order[:, :, None], axis=1).transpose(0, 2, 1)
-    fill = (sigma <= SV_ZERO_TOL * np.maximum(1.0, sigma[:, :1]))[:, None, :]
-    left = np.where(fill, 0.0, np.matmul(part, rots) / np.where(fill, 1.0, sigma[:, None, :]))
+    # Both permutations leave each V column-major, so A V rounds the same
+    # for a matrix and a stack; the left column of a near-zero sigma
+    # magnifies that rounding by sigma_0 / sigma.
+    if sigma.ndim == 1:
+        order = np.argsort(-sigma, kind="stable")
+        sigma = sigma[order]
+        rots = rots[:, order]
+    else:
+        order = np.argsort(-sigma, axis=1, kind="stable")
+        sigma = np.take_along_axis(sigma, order, axis=1)
+        rots = np.take_along_axis(rots.transpose(0, 2, 1), order[:, :, None], axis=1).transpose(0, 2, 1)
+    fill = (sigma <= SV_ZERO_TOL * np.maximum(1.0, sigma[..., :1]))[..., None, :]
+    left = np.where(fill, 0.0, np.matmul(part, rots) / np.where(fill, 1.0, sigma[..., None, :]))
     return sigma, rots, left
 
 
@@ -430,14 +461,13 @@ def svd(P: np.ndarray) -> SvdResult:
 
     This is the full decomposition for callers that need U and V; no loss
     path uses it (``bnm``, its gradient and :func:`nuclear_norm` read what
-    they need off the stack path).
+    they need off the ``bnm`` kernel and the singular-value path).
     """
     arr = np.asarray(P, dtype=float)
     if arr.ndim != 2:
         raise ValueError("svd expects a 2-D matrix")
-    _, part, rots, sigma = next(_jacobi_chunks(arr[None]))
-    sigma, rots, left = _sorted_factors(part, rots, sigma)
-    sigma, rots, left = sigma[0], rots[0], _orthonormalize_columns(left)[0]
+    sigma, rots, left = _sorted_factors(*_jacobi_factors(arr))
+    left = _orthonormalize_columns(left)
     u, v = (rots, left) if arr.shape[0] < arr.shape[1] else (left, rots)
     for col in range(sigma.size):
         pivot = int(np.argmax(np.abs(u[:, col])))
@@ -448,11 +478,14 @@ def svd(P: np.ndarray) -> SvdResult:
 
 
 def _singular_values_stack(stack: np.ndarray) -> np.ndarray:
-    """Descending singular values for every matrix in an (N, B, C) stack."""
-    sigma = np.empty((stack.shape[0], min(stack.shape[1:])))
-    for rows, _, _, part_sigma in _jacobi_chunks(stack):
-        sigma[rows] = part_sigma
-    return np.sort(sigma, axis=1)[:, ::-1]
+    """Descending singular values of a (B, C) matrix or of every matrix in an (N, B, C) stack."""
+    if stack.ndim == 2:
+        sigma = _jacobi_factors(stack)[2]
+    else:
+        sigma = np.empty((stack.shape[0], min(stack.shape[1:])))
+        for rows, _, _, part_sigma in _jacobi_chunks(stack):
+            sigma[rows] = part_sigma
+    return np.sort(sigma, axis=-1)[..., ::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +498,19 @@ def _squares_stack(stack: np.ndarray) -> np.ndarray:
 
 
 def _ms(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    n_rows = stack.shape[1]
+    n_rows = stack.shape[-2]
     return -_squares_stack(stack) / n_rows, (-2.0 * stack / n_rows if want_grad else None)
 
 
-def _bnm(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Negated nuclear norm per sample and, when asked, its gradient and exact flags.
+def _polar(part: np.ndarray, rots: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending singular values and polar factor U V^T of an oriented matrix or chunk."""
+    sigma, rots, left = _sorted_factors(part, rots, sigma)
+    return sigma, np.matmul(_orthonormalize_columns(left), rots.swapaxes(-1, -2))
+
+
+def _bnm(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | bool | None]:
+    """Negated nuclear norm per sample of a (B, C) matrix or an (N, B, C) stack
+    and, when asked, its gradient and exact flags.
 
     The gradient is the polar factor -U V^T / B, read off the same Jacobi
     pass as the singular values: U = A V / sigma on the oriented matrix A,
@@ -478,21 +518,25 @@ def _bnm(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | N
     sigma_0 / sigma.  Columns of U for a vanishing singular value are
     completed to an orthonormal basis (a subgradient).  A matrix's flag is
     exact only when consecutive singular values are more than
-    SV_DISTINCT_GAP apart and none is below SV_ZERO_TOL.
+    SV_DISTINCT_GAP apart and none is below SV_ZERO_TOL; a matrix gets a
+    bool, a stack an array of them.
     """
-    n_mats, n_rows, n_cols = stack.shape
+    n_rows, n_cols = stack.shape[-2:]
     if not want_grad:
-        return -_singular_values_stack(stack).sum(axis=1) / n_rows, None, None
-    sigma = np.empty((n_mats, min(n_rows, n_cols)))
-    polar = np.empty((n_mats, max(n_rows, n_cols), min(n_rows, n_cols)))
-    exact = np.empty(n_mats, dtype=bool)
-    for rows, part, rots, part_sigma in _jacobi_chunks(stack):
-        sigma[rows], rots, left = _sorted_factors(part, rots, part_sigma)
-        polar[rows] = np.matmul(_orthonormalize_columns(left), rots.transpose(0, 2, 1))
-        desc = sigma[rows]
-        exact[rows] = np.all(-np.diff(desc, axis=1) > SV_DISTINCT_GAP, axis=1) & (desc[:, -1] > SV_ZERO_TOL)
-    values = -sigma.sum(axis=1) / n_rows
-    return values, -(polar.transpose(0, 2, 1) if n_rows < n_cols else polar) / n_rows, exact
+        return -_singular_values_stack(stack).sum(axis=-1) / n_rows, None, None
+    if stack.ndim == 2:
+        sigma, polar = _polar(*_jacobi_factors(stack))
+        desc = sigma.tolist()
+        exact = desc[-1] > SV_ZERO_TOL and all(a - b > SV_DISTINCT_GAP for a, b in zip(desc, desc[1:]))
+    else:
+        n_mats = stack.shape[0]
+        sigma = np.empty((n_mats, min(n_rows, n_cols)))
+        polar = np.empty((n_mats, max(n_rows, n_cols), min(n_rows, n_cols)))
+        for rows, part, rots, part_sigma in _jacobi_chunks(stack):
+            sigma[rows], polar[rows] = _polar(part, rots, part_sigma)
+        exact = np.all(-np.diff(sigma, axis=1) > SV_DISTINCT_GAP, axis=1) & (sigma[:, -1] > SV_ZERO_TOL)
+    values = -sigma.sum(axis=-1) / n_rows
+    return values, -(polar.swapaxes(-1, -2) if n_rows < n_cols else polar) / n_rows, exact
 
 
 def _cwsm(stack: np.ndarray, r: float, want_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
@@ -598,14 +642,14 @@ def _loss_stack(
 
 
 def _loss_values_stack(kind: str, stack: np.ndarray, r: float, alpha: float, epsilon: float) -> np.ndarray:
-    """Loss values for an (N, B, C) stack."""
+    """Loss values of a (B, C) matrix or an (N, B, C) stack."""
     return _loss_stack(kind, stack, r, alpha, epsilon, False)[0]
 
 
 def _loss_grads_stack(
     kind: str, stack: np.ndarray, r: float, alpha: float, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Values and gradients for a stack, from the loss's kernel."""
+    """Values and gradients of a matrix or a stack, from the loss's kernel."""
     return _loss_stack(kind, stack, r, alpha, epsilon, True)
 
 
@@ -620,27 +664,23 @@ def _as_matrix(P: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_stack(P: np.ndarray) -> np.ndarray:
-    return _as_matrix(P)[None, :, :]
-
-
 def ms(P: np.ndarray) -> float:
     """Mean negative squared confidence: -(1/B) sum_ic P_ic^2."""
-    return float(_ms(_as_stack(P), False)[0][0])
+    return float(_ms(_as_matrix(P), False)[0])
 
 
 def bnm(P: np.ndarray) -> float:
     """Negative nuclear norm per sample: -(1/B) sum_i sigma_i."""
-    return float(_bnm(_as_stack(P), False)[0][0])
+    return float(_bnm(_as_matrix(P), False)[0])
 
 
 def nuclear_norm(P: np.ndarray) -> float:
     """Sum of singular values.  Equals sum_c sqrt(n_c) on one-hot matrices.
 
-    Read from the singular-value stack path, as ``bnm`` is; :func:`svd`
-    is not used.
+    Read from the singular-value path, as ``bnm`` is; :func:`svd` is not
+    used.
     """
-    return float(_singular_values_stack(_as_stack(P))[0].sum())
+    return float(_singular_values_stack(_as_matrix(P)).sum())
 
 
 def cws(P: np.ndarray, r: float) -> float:
@@ -679,8 +719,8 @@ def nsm(P: np.ndarray, r: float, alpha: float, epsilon: float) -> float:
 
 def discriminability(P: np.ndarray) -> float:
     """Mean squared confidence, (1/B) sum_ic P_ic^2; 1 exactly on one-hot rows."""
-    stack = _as_stack(P)
-    return float(_squares_stack(stack)[0] / stack.shape[1])
+    arr = _as_matrix(P)
+    return float(_squares_stack(arr) / arr.shape[0])
 
 
 def equity_metric(P: np.ndarray) -> float:
@@ -693,9 +733,9 @@ def equity_metric(P: np.ndarray) -> float:
 
 def loss_value(P: np.ndarray, cfg: LossConfig) -> float:
     """Evaluate the configured loss on ``P`` (auto epsilon resolved here)."""
-    stack = _as_stack(P)
-    eps = cfg.resolved_epsilon(stack.shape[1], stack.shape[2])
-    return float(_loss_values_stack(cfg.kind, stack, cfg.r, cfg.alpha, eps)[0])
+    arr = _as_matrix(P)
+    eps = cfg.resolved_epsilon(*arr.shape)
+    return float(_loss_values_stack(cfg.kind, arr, cfg.r, cfg.alpha, eps))
 
 
 def gradient(P: np.ndarray, cfg: LossConfig) -> GradOutput:
@@ -706,10 +746,10 @@ def gradient(P: np.ndarray, cfg: LossConfig) -> GradOutput:
     when the singular values are separated by more than 1e-8 and none is
     numerically zero, and a valid subgradient (``exact=False``) otherwise.
     """
-    stack = _as_stack(P)
+    arr = _as_matrix(P)
     if cfg.kind == "bnm":
-        values, grads, exact = _bnm(stack, True)
-        return GradOutput(value=float(values[0]), grad=grads[0], exact=bool(exact[0]))
-    eps = cfg.resolved_epsilon(stack.shape[1], stack.shape[2])
-    values, grads = _loss_grads_stack(cfg.kind, stack, cfg.r, cfg.alpha, eps)
-    return GradOutput(value=float(values[0]), grad=grads[0], exact=True)
+        value, grad, exact = _bnm(arr, True)
+        return GradOutput(value=float(value), grad=grad, exact=exact)
+    eps = cfg.resolved_epsilon(*arr.shape)
+    value, grad = _loss_grads_stack(cfg.kind, arr, cfg.r, cfg.alpha, eps)
+    return GradOutput(value=float(value), grad=grad, exact=True)

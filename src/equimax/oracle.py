@@ -292,12 +292,13 @@ def verify_theorem_4_5(
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if theorem_id not in (4, 5):
         raise ValueError(f"theorem_id must be 4 or 5, got {theorem_id}")
+    # checks the shape before the enumeration, which would divide 0 by 0 at B = 0
+    predicted = balanced_sizes(n_rows, n_cols)
     comps = _composition_array(n_rows, n_cols, budget)
     sq = np.einsum("nc,nc->n", comps, comps)
     best_sq = float(sq.min())
     argmin = _argbest_multisets(comps, sq, best_sq, 0.0)
     optimum = n_rows / (best_sq + (alpha - 1.0) * n_rows) + epsilon * n_rows
-    predicted = balanced_sizes(n_rows, n_cols)
     params = {
         "b": n_rows,
         "c": n_cols,

@@ -9,6 +9,9 @@ softmax outputs of an unlabeled, distribution-shifted target batch.  The
 linear model keeps runs under a second and isolates the effect of the
 target term: with lam = 0 every loss kind trains bit-identically.
 
+Each epoch gathers its target batch rows once, and each source reshuffle its
+source rows and one-hot labels once; a step slices its batches from those.
+
 Data are isotropic Gaussian blobs.  Class centers sit at the vertices of a
 regular simplex (pairwise equidistant, so no class is geometrically
 privileged), scaled by ``center_spread``; target points use the same
@@ -219,25 +222,24 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def objective_and_gradients(
+def _step(
     weights: np.ndarray,
     bias: np.ndarray,
     x_src: np.ndarray,
-    y_src: np.ndarray,
+    onehot_src: np.ndarray,
     x_tgt: np.ndarray,
     loss_cfg: LossConfig,
 ):
-    """Value and (d x C, C) parameter gradients of CE + lam * target loss.
+    """Source probabilities, target loss value and the parameter gradients of one step.
 
-    The target-loss gradient is propagated through the softmax in closed
-    form; with lam = 0 the target term contributes nothing.
+    ``onehot_src`` holds the source labels as one-hot rows.  The gradients
+    are those of :func:`objective_and_gradients`, which adds the source
+    cross-entropy that the training loop does not need.
     """
     probs_src = softmax(x_src @ weights + bias)
-    n_src = x_src.shape[0]
-    ce = float(-np.log(np.maximum(probs_src[np.arange(n_src), y_src], 1e-300)).mean())
-    delta = probs_src.copy()
-    delta[np.arange(n_src), y_src] -= 1.0
-    delta /= n_src
+    # p - 1 at the label and p - 0 elsewhere: the same bits as subtracting 1 in place
+    delta = probs_src - onehot_src
+    delta /= x_src.shape[0]
     grad_w = x_src.T @ delta
     grad_b = delta.sum(axis=0)
     lt = 0.0
@@ -249,6 +251,27 @@ def objective_and_gradients(
         delta_t = probs_tgt * (out.grad - inner) * loss_cfg.lam
         grad_w += x_tgt.T @ delta_t
         grad_b += delta_t.sum(axis=0)
+    return probs_src, lt, grad_w, grad_b
+
+
+def objective_and_gradients(
+    weights: np.ndarray,
+    bias: np.ndarray,
+    x_src: np.ndarray,
+    y_src: np.ndarray,
+    x_tgt: np.ndarray,
+    loss_cfg: LossConfig,
+):
+    """Value and (d x C, C) parameter gradients of CE + lam * target loss.
+
+    Returns (total, source cross-entropy, target loss, grad_w, grad_b).
+    The target-loss gradient is propagated through the softmax in closed
+    form; with lam = 0 the target term contributes nothing.
+    """
+    onehot_src = np.eye(weights.shape[1])[y_src]
+    probs_src, lt, grad_w, grad_b = _step(weights, bias, x_src, onehot_src, x_tgt, loss_cfg)
+    n_src = x_src.shape[0]
+    ce = float(-np.log(np.maximum(probs_src[np.arange(n_src), y_src], 1e-300)).mean())
     return ce + loss_cfg.lam * lt, ce, lt, grad_w, grad_b
 
 
@@ -263,6 +286,8 @@ def train(config: ToyUdaConfig) -> ToyUdaResult:
     data_rng, train_rng = _rngs(config.seed)
     xs, ys, xt, yt = _generate(data_rng, config)
     n_src, n_tgt = xs.shape[0], xt.shape[0]
+    onehot = np.eye(config.classes)[ys]
+    size = config.batch_size
     weights = np.zeros((config.features, config.classes))
     bias = np.zeros(config.classes)
     vel_w = np.zeros_like(weights)
@@ -274,18 +299,17 @@ def train(config: ToyUdaConfig) -> ToyUdaResult:
     eq_hist = np.empty(config.epochs)
     disc_hist = np.empty(config.epochs)
     src_cursor = n_src  # force a shuffle on first use
-    perm_src = np.arange(n_src)
     for epoch in range(config.epochs):
-        perm_tgt = train_rng.permutation(n_tgt)
+        xt_epoch = xt[train_rng.permutation(n_tgt)]
         for k in range(steps):
-            tgt_idx = perm_tgt[k * config.batch_size : (k + 1) * config.batch_size]
-            if src_cursor + config.batch_size > n_src:
+            if src_cursor + size > n_src:
                 perm_src = train_rng.permutation(n_src)
+                xs_perm, onehot_perm = xs[perm_src], onehot[perm_src]
                 src_cursor = 0
-            src_idx = perm_src[src_cursor : src_cursor + config.batch_size]
-            src_cursor += config.batch_size
-            _, _, _, grad_w, grad_b = objective_and_gradients(
-                weights, bias, xs[src_idx], ys[src_idx], xt[tgt_idx], config.loss
+            src = slice(src_cursor, src_cursor + size)
+            src_cursor += size
+            _, _, grad_w, grad_b = _step(
+                weights, bias, xs_perm[src], onehot_perm[src], xt_epoch[k * size : (k + 1) * size], config.loss
             )
             vel_w = config.momentum * vel_w - config.learning_rate * grad_w
             vel_b = config.momentum * vel_b - config.learning_rate * grad_b

@@ -128,6 +128,15 @@ class TestVerify:
         assert err == [f"error: trials must be >= 1, got {trials}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("theorem", ["4", "5"])
+    @pytest.mark.parametrize("b, c", [("0", "3"), ("3", "1")])
+    def test_theorem_4_5_bad_shape_is_one_error_line(self, theorem, b, c, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert run(["verify", "--theorem", theorem, "--b", b, "--c", c, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: need n_rows >= 1 and n_cols >= 2, got {b}, {c}"]
+        assert not out.exists()
+
     def test_failed_verdict_nonzero_exit(self, tmp_path, monkeypatch):
         import equimax.cli as cli
 

@@ -265,7 +265,7 @@ class TestJacobiEngine:
         mat = make(rng, 30, 3)
         _, part, rots, sigma = next(losses._jacobi_chunks(mat[None]))
         left = losses._sorted_factors(part, rots, sigma)[2][0]  # (30, 3) left factor
-        alone = losses._orthonormalize_columns(left[None])
+        alone = losses._orthonormalize_columns(left)
         # each vanishing singular value leaves a zero column, which is completed
         assert len(completions) == 3 - np.linalg.matrix_rank(mat)
         stack = losses._orthonormalize_columns(np.stack([left, left]))
@@ -421,6 +421,29 @@ class TestBnmKernel:
         assert np.array_equal(out.grad, grads[0]) and out.exact == exact[0]
         stack_values, stack_grads = losses._loss_grads_stack("bnm", mat[None], 0.5, 1.0, 0.0)
         assert np.array_equal(stack_values, values) and np.array_equal(stack_grads, grads)
+
+    @pytest.mark.parametrize(
+        "shape", [(30, 3), (100, 3), (3, 30), (6, 6), (40, 6), (30, 10)], ids=lambda s: "%dx%d" % s
+    )
+    @pytest.mark.parametrize("make", [random_matrix, _zero_column, _rank_one, _duplicate_columns])
+    def test_matrix_matches_row_of_a_stack_bit_for_bit(self, rng, monkeypatch, shape, make):
+        # a single matrix goes through the chain as 2-D arrays, a stack as
+        # 3-D ones; 40x6 and 30x10 take the Householder reduction, 30x10
+        # then the vectorised Jacobi rounds
+        householder = []
+        householder_r = losses._householder_r
+        monkeypatch.setattr(losses, "_householder_r", lambda a: householder.append(a.ndim) or householder_r(a))
+        mat = make(rng, *shape)
+        stack = np.stack([mat, random_matrix(rng, *shape)])
+        values, grads, exact = losses._bnm(stack, True)
+        stack_values = losses._bnm(stack, False)[0]
+        out = losses.gradient(mat, LossConfig("bnm"))
+        assert np.float64(bnm(mat)).tobytes() == stack_values[0].tobytes()
+        assert np.float64(loss_value(mat, LossConfig("bnm"))).tobytes() == stack_values[0].tobytes()
+        assert np.float64(out.value).tobytes() == values[0].tobytes()
+        assert out.grad.shape == shape and out.grad.tobytes() == grads[0].tobytes()
+        assert out.exact is bool(exact[0])
+        assert householder == ([3, 3, 2, 2, 2] if shape in ((40, 6), (30, 10)) else [])
 
 
 class TestCws:

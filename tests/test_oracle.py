@@ -195,6 +195,19 @@ class TestTheorem45:
         with pytest.raises(ValueError):
             verify_theorem_4_5(4, 2, 0.0, 0.0)
 
+    @pytest.mark.parametrize("theorem_id", [4, 5])
+    @pytest.mark.parametrize("n_rows, n_cols", [(0, 3), (3, 1)])
+    def test_shape_rejected_before_the_enumeration(self, n_rows, n_cols, theorem_id, monkeypatch):
+        import equimax.oracle as oracle
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("compositions enumerated")
+
+        monkeypatch.setattr(oracle, "enumerate_size_compositions", no_enumeration)
+        message = f"^need n_rows >= 1 and n_cols >= 2, got {n_rows}, {n_cols}$"
+        with pytest.raises(ValueError, match=message):
+            verify_theorem_4_5(n_rows, n_cols, 1.0, 0.0, theorem_id=theorem_id)
+
 
 class TestTheorem6:
     def test_2x3(self):

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from equimax.losses import LossConfig, loss_value
+from equimax.losses import LOSS_KINDS, LossConfig, discriminability, equity_metric, gradient, loss_value
 from equimax.probmat import validate
 from equimax import toyuda
 from equimax.toyuda import (
@@ -25,6 +25,78 @@ SMALL = ToyUdaConfig(epochs=12, source_per_class=30, target_counts=(18, 9, 3), b
 def generate(cfg):
     """The (xs, ys, xt, yt) data ``train(cfg)`` draws from its seed."""
     return toyuda._generate(toyuda._rngs(cfg.seed)[0], cfg)
+
+
+def reference_objective(weights, bias, x_src, y_src, x_tgt, loss_cfg):
+    """One step's objective as first written: a copy with the labels' 1 subtracted in place."""
+    probs_src = softmax(x_src @ weights + bias)
+    n_src = x_src.shape[0]
+    ce = float(-np.log(np.maximum(probs_src[np.arange(n_src), y_src], 1e-300)).mean())
+    delta = probs_src.copy()
+    delta[np.arange(n_src), y_src] -= 1.0
+    delta /= n_src
+    grad_w = x_src.T @ delta
+    grad_b = delta.sum(axis=0)
+    lt = 0.0
+    if loss_cfg.lam > 0.0:
+        probs_tgt = softmax(x_tgt @ weights + bias)
+        out = gradient(probs_tgt, loss_cfg)
+        lt = out.value
+        inner = (out.grad * probs_tgt).sum(axis=1, keepdims=True)
+        delta_t = probs_tgt * (out.grad - inner) * loss_cfg.lam
+        grad_w += x_tgt.T @ delta_t
+        grad_b += delta_t.sum(axis=0)
+    return ce + loss_cfg.lam * lt, ce, lt, grad_w, grad_b
+
+
+def reference_train(config):
+    """The training loop as first written: each step gathers its batch rows by index."""
+    data_rng, train_rng = toyuda._rngs(config.seed)
+    xs, ys, xt, yt = toyuda._generate(data_rng, config)
+    n_src, n_tgt = xs.shape[0], xt.shape[0]
+    weights = np.zeros((config.features, config.classes))
+    bias = np.zeros(config.classes)
+    vel_w = np.zeros_like(weights)
+    vel_b = np.zeros_like(bias)
+    steps = -(-n_tgt // config.batch_size)
+    hist = {name: np.empty(config.epochs) for name in ("ce", "lt", "accuracy", "equity", "disc")}
+    src_cursor = n_src
+    perm_src = np.arange(n_src)
+    for epoch in range(config.epochs):
+        perm_tgt = train_rng.permutation(n_tgt)
+        for k in range(steps):
+            tgt_idx = perm_tgt[k * config.batch_size : (k + 1) * config.batch_size]
+            if src_cursor + config.batch_size > n_src:
+                perm_src = train_rng.permutation(n_src)
+                src_cursor = 0
+            src_idx = perm_src[src_cursor : src_cursor + config.batch_size]
+            src_cursor += config.batch_size
+            _, _, _, grad_w, grad_b = reference_objective(
+                weights, bias, xs[src_idx], ys[src_idx], xt[tgt_idx], config.loss
+            )
+            vel_w = config.momentum * vel_w - config.learning_rate * grad_w
+            vel_b = config.momentum * vel_b - config.learning_rate * grad_b
+            weights = weights + vel_w
+            bias = bias + vel_b
+        probs_src = softmax(xs @ weights + bias)
+        with np.errstate(divide="ignore"):
+            ce = float(-np.log(probs_src[np.arange(n_src), ys]).mean())
+        if not np.isfinite(ce) or ce > toyuda.DIVERGENCE_CE:
+            raise TrainingDivergedError(
+                f"epoch {epoch}: source cross-entropy {ce!r} exceeds {toyuda.DIVERGENCE_CE}"
+            )
+        probs_tgt = softmax(xt @ weights + bias)
+        hist["ce"][epoch] = ce
+        hist["lt"][epoch] = loss_value(probs_tgt, config.loss)
+        hist["accuracy"][epoch] = float((probs_tgt.argmax(axis=1) == yt).mean())
+        hist["equity"][epoch] = equity_metric(probs_tgt)
+        hist["disc"][epoch] = discriminability(probs_tgt)
+    return toyuda.ToyUdaResult(weights=weights, bias=bias, **hist)
+
+
+# 120 source and 42 target rows in batches of 32: each epoch ends on a
+# partial target batch of 10, and the source is reshuffled mid-epoch
+WRAPPING = replace(SMALL, source_per_class=40, target_counts=(24, 12, 6), batch_size=32, epochs=8)
 
 
 class TestConfig:
@@ -178,6 +250,18 @@ class TestObjective:
             fd_b = fd_gradient(lambda m: obj_b(m.ravel()), bias.reshape(1, 3)).ravel()
             assert np.max(np.abs(grad_b - fd_b)) <= 1e-4 * max(1.0, np.abs(fd_b).max())
 
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_same_bits_as_the_reference_step(self, rng, kind, lam):
+        xs, ys, xt, _ = generate(WRAPPING)
+        weights = rng.normal(size=(2, 3)) * 0.4
+        bias = rng.normal(size=3) * 0.2
+        cfg = LossConfig(kind, lam=lam)
+        got = objective_and_gradients(weights, bias, xs[:32], ys[:32], xt[:10], cfg)
+        want = reference_objective(weights, bias, xs[:32], ys[:32], xt[:10], cfg)
+        assert got[:3] == want[:3]
+        assert got[3].tobytes() == want[3].tobytes() and got[4].tobytes() == want[4].tobytes()
+
 
 class TestTrain:
     def test_trajectory_lengths(self):
@@ -220,6 +304,24 @@ class TestTrain:
             train(
                 replace(SMALL, learning_rate=1e6, noise_scale=3.0, center_spread=1.0, epochs=30)
             )
+
+    @pytest.mark.parametrize("base", [SMALL, WRAPPING], ids=["batch10", "batch32"])
+    @pytest.mark.parametrize("momentum, rate", [(0.0, 0.1), (0.9, 0.02)], ids=["plain", "momentum"])
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_same_bytes_as_the_reference_loop(self, kind, lam, momentum, rate, base):
+        # no golden hash: exp, log and power bits follow the CPU's SIMD dispatch
+        cfg = replace(base, momentum=momentum, learning_rate=rate, loss=LossConfig(kind, lam=lam))
+        got = json.dumps(train(cfg).to_dict(), sort_keys=True)
+        assert got == json.dumps(reference_train(cfg).to_dict(), sort_keys=True)
+
+    def test_divergence_message_matches_the_reference_loop(self):
+        cfg = replace(SMALL, learning_rate=1e6, noise_scale=3.0, center_spread=1.0, epochs=30)
+        with pytest.raises(TrainingDivergedError) as want:
+            reference_train(cfg)
+        with pytest.raises(TrainingDivergedError) as got:
+            train(cfg)
+        assert str(got.value) == str(want.value)
 
     def test_momentum_variant_runs(self):
         res = train(replace(SMALL, momentum=0.9, learning_rate=0.02))
