@@ -107,15 +107,16 @@ class LossConfig:
             raise ValueError(f"unknown loss kind {self.kind!r}, expected one of {LOSS_KINDS}")
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"r must be in [0, 1], got {self.r}")
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        # written so that NaN fails the range test too
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if isinstance(self.epsilon, str):
             if self.epsilon != EPSILON_AUTO:
                 raise ValueError(f"epsilon must be a number or 'auto', got {self.epsilon!r}")
-        elif self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        elif not 0.0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.kind == "nsm" and self.r > 0.0 and self.alpha == 0.0:
             raise ValueError("nsm with r > 0 and alpha = 0 is ill-posed: the denominator may vanish")
 
@@ -725,7 +726,7 @@ def discriminability(P: np.ndarray) -> float:
 
 def equity_metric(P: np.ndarray) -> float:
     """1 - sum_c |size_c / B - 1/C|: 1 iff all soft class sizes are equal."""
-    arr = np.asarray(P, dtype=float)
+    arr = _as_matrix(P)
     n_rows, n_cols = arr.shape
     share = arr.sum(axis=0) / n_rows
     return float(1.0 - np.abs(share - 1.0 / n_cols).sum())

@@ -25,6 +25,7 @@ canonical 2x2 examples: (0,0)=P1, (1,0)=P2, (0,1)=P3, (1,1)=P4.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Optional
 
@@ -53,8 +54,8 @@ class AscentConfig:
     def __post_init__(self):
         if self.inits < 1 or self.steps < 1:
             raise ValueError("inits and steps must be positive")
-        if self.step_size <= 0.0:
-            raise ValueError("step_size must be positive")
+        if not 0.0 < self.step_size < math.inf:
+            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
 
 
 @dataclass

@@ -13,7 +13,8 @@ CSV I/O lives here as well.  :func:`read_array_csv` is the one parser, and
 :func:`write_matrix_csv` is the one writer: gradient, example and surface
 CSVs all come from it.  Each cell is written as the shortest round-trip
 ``repr`` of its float64 value, with '\\n' line endings, the same bytes as
-formatting every cell with ``repr(float(x))``.  Neither function loops in
+formatting every cell with ``repr(float(x))``; the writer formats each
+distinct bit pattern once when cells repeat.  Neither function loops in
 Python over cells.
 """
 
@@ -249,6 +250,11 @@ def write_matrix_csv(target: str | IO[str], mat: np.ndarray, header: str | None 
     :func:`read_array_csv` gives the same bits back.  Lines end in '\\n'.
     A ``header`` not starting with '#' gets a "# " prefix.
 
+    When at most half of the cells are distinct, as on a surface grid,
+    ``repr`` runs once per distinct float64 bit pattern (so ``-0.0`` and
+    ``0.0`` stay apart) instead of once per cell.  One sort of the bits
+    decides, and the bytes are the same either way.
+
     Raises
     ------
     DimensionError
@@ -260,14 +266,48 @@ def write_matrix_csv(target: str | IO[str], mat: np.ndarray, header: str | None 
     n_rows, n_cols = mat.shape
     lines = []
     if header:
-        lines.append(header if header.startswith("#") else "# " + header)
-    if n_rows:
-        # one %-format over all cells: '%r' is repr, and no list of cell strings is built
-        row_format = ",".join(["%r"] * n_cols)
-        lines.append("\n".join([row_format] * n_rows) % tuple(mat.ravel().tolist()))
-    text = "\n".join(lines) + "\n"
+        lines.append((header if header.startswith("#") else "# " + header).replace("%", "%%"))
+    # '%s' of a float is its repr; one %-format over all cells gives the whole text
+    lines += [",".join(["%s"] * n_cols)] * n_rows
+    text = ("\n".join(lines) + "\n") % _csv_cells(mat)
     if hasattr(target, "write"):
         target.write(text)
     else:
         with open(target, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+
+
+def _csv_cells(mat: np.ndarray) -> tuple:
+    """The cells of ``mat`` in row order, as floats or as their ``repr`` strings.
+
+    When at most half of the cells are distinct, each distinct float64 bit
+    pattern is formatted once and the cells share those strings.
+    """
+    # keyed on the bits, so -0.0 and 0.0 stay apart and NaNs never compare equal
+    bits = mat.view(np.int64).ravel()
+    # sorted neighbours differ exactly where their difference, wrapped or not, is nonzero
+    if 2 * (1 + np.count_nonzero(np.diff(np.sort(bits)))) > bits.size:
+        return tuple(mat.ravel().tolist())
+    distinct, inverse = _distinct_inverse(bits)
+    strings = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    return tuple(strings[inverse].tolist())
+
+
+def _distinct_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` for a 1-D array.
+
+    Same result in the same time, with at most three arrays the size of
+    ``values`` alive at once instead of six; this step sets the peak memory
+    of a surface write.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    first = np.empty(values.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    np.cumsum(first, out=ordered)
+    ordered -= 1  # now each sorted value's index into distinct
+    inverse = np.empty_like(order)
+    inverse[order] = ordered
+    return distinct, inverse

@@ -22,6 +22,7 @@ for evaluation only.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import typing
 from dataclasses import dataclass, field
@@ -109,10 +110,13 @@ _NUMBER_FIELDS = {
 
 
 def _check_number(name: str, value, kind=numbers.Real) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is a non-boolean ``kind``."""
+    """Raise ValueError naming ``name`` unless ``value`` is a finite, non-boolean ``kind``."""
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if kind is numbers.Integral else "a number"
         raise ValueError(f"{name} must be {noun}, got {value!r}")
+    # JSON gives NaN and Infinity as floats; an int is finite and may not fit a float
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _as_tuple(name: str, values, kind) -> tuple:

@@ -181,6 +181,42 @@ def test_one_parser_keeps_subcommand_defaults(tmp_path, capsys, p3_path):
     assert "ns(r=0.5, alpha=1, epsilon=0): 0.5" in lines
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["eval", "--input", "{input}", "--alpha", "nan"], "alpha"),
+        (["eval", "--input", "{input}", "--epsilon", "inf"], "epsilon"),
+        (["grad", "--input", "{input}", "--loss", "nsm", "--alpha", "inf", "--out", "{out}/g.csv"], "alpha"),
+        (["verify", "--theorem", "4", "--b", "3", "--c", "3", "--epsilon", "nan", "--out", "{out}/v.json"], "epsilon"),
+        (["surface", "--loss", "nsm", "--alpha", "nan", "--out", "{out}/s.csv"], "alpha"),
+        (["optimize", "--loss", "ms", "--b", "3", "--c", "3", "--lr", "nan"], "step_size"),
+        (["optimize", "--loss", "ms", "--b", "3", "--c", "3", "--lr", "inf"], "step_size"),
+        (["toyuda", "--loss", "ms", "--lambda", "nan", "--out-prefix", "{out}/run"], "lam"),
+        (["toyuda", "--loss", "bnm", "--lambda", "inf", "--out-prefix", "{out}/run"], "lam"),
+    ],
+    ids=[
+        "eval_alpha_nan",
+        "eval_epsilon_inf",
+        "grad_alpha_inf",
+        "verify_epsilon_nan",
+        "surface_alpha_nan",
+        "optimize_lr_nan",
+        "optimize_lr_inf",
+        "toyuda_lambda_nan",
+        "toyuda_lambda_inf",
+    ],
+)
+def test_non_finite_parameter_is_one_error_line(argv, name, p3_path, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert run([a.format(input=p3_path, out=out_dir) for a in argv]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {name} must be") and "finite" in err[0]
+    assert "error:" not in captured.out
+    assert list(out_dir.iterdir()) == []
+
+
 class TestOptimize:
     def test_cwsm(self, capsys):
         code = run(
@@ -245,6 +281,12 @@ class TestToyuda:
             ({"loss": {"alpha": True}}, "'alpha'"),
             ({"loss": {"epsilon": False}}, "'epsilon'"),
             ({"target_counts": [60.7, 30, 10.9]}, "target_counts"),
+            ({"learning_rate": float("nan")}, "learning_rate"),
+            ({"noise_scale": float("inf")}, "noise_scale"),
+            ({"center_spread": float("nan")}, "center_spread"),
+            ({"shift": [float("nan"), 0.0]}, "shift"),
+            ({"loss": {"alpha": float("nan")}}, "'alpha'"),
+            ({"loss": {"epsilon": float("inf")}}, "'epsilon'"),
         ],
         ids=[
             "unknown_key",
@@ -258,6 +300,12 @@ class TestToyuda:
             "loss_alpha_bool",
             "loss_epsilon_bool",
             "target_counts_floats",
+            "learning_rate_nan",
+            "noise_scale_inf",
+            "center_spread_nan",
+            "shift_nan",
+            "loss_alpha_nan",
+            "loss_epsilon_inf",
         ],
     )
     def test_bad_config_is_one_error_line(self, cfg, key, tmp_path, capsys):

@@ -60,6 +60,12 @@ class TestLossConfig:
         with pytest.raises(ValueError):
             LossConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["alpha", "epsilon", "lam"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.nan])
+    def test_rejects_non_finite_naming_the_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got "):
+            LossConfig("nsm", **{name: value})
+
     def test_nsm_r0_alpha0_allowed(self):
         LossConfig("nsm", r=0.0, alpha=0.0)
 
@@ -612,6 +618,12 @@ class TestMetrics:
         assert equity_metric(P3) == 1.0
         assert abs(equity_metric(P2) - 0.5) <= 1e-12
         assert abs(equity_metric(P1) - 0.0) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)], ids=["1d", "3d"])
+    def test_metrics_reject_non_2d(self, shape):
+        for metric in (equity_metric, discriminability):
+            with pytest.raises(ValueError, match="^expected a 2-D prediction matrix$"):
+                metric(np.full(shape, 0.5))
 
     def test_equity_one_iff_balanced(self, rng):
         assert equity_metric(np.full((6, 3), 1 / 3)) == 1.0

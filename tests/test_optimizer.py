@@ -273,3 +273,6 @@ def test_ascent_config_validation():
         AscentConfig(inits=0)
     with pytest.raises(ValueError):
         AscentConfig(step_size=0.0)
+    for step_size in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^step_size must be positive and finite, got "):
+            AscentConfig(step_size=step_size)

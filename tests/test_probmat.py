@@ -1,3 +1,4 @@
+import contextlib
 import io
 import math
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from equimax import probmat
+from equimax.losses import LossConfig
+from equimax.optimizer import surface, write_surface_csv
 from equimax.oracle import _one_hot_label_stack
 from equimax.probmat import (
     BudgetError,
@@ -281,7 +284,7 @@ class TestCsv:
             read_matrix_csv(io.StringIO("0.6,0.6\n0.5,0.5\n"))
 
     @pytest.mark.parametrize("n_cols", range(1, 13))
-    @pytest.mark.parametrize("header", [None, "plain header", "# hashed header"])
+    @pytest.mark.parametrize("header", [None, "plain header", "# hashed header", "100% of %s, %r"])
     def test_writer_bytes_match_per_cell_repr_loop(self, n_cols, header, rng, tmp_path):
         special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, 1e16, 0.1, 1.0 / 3.0])
         mats = [
@@ -305,11 +308,91 @@ class TestCsv:
         write_matrix_csv(buf, np.empty((0, 3)), header="# empty")
         assert buf.getvalue() == "# empty\n"
 
+    @pytest.mark.parametrize("kind", ["ms", "bnm", "cwsm", "nsm"])
+    def test_default_surface_bytes_with_distinct_values_formatted_once(self, kind, monkeypatch):
+        surf = surface(LossConfig(kind))
+        buf = io.StringIO()
+        with _distinct_calls(monkeypatch) as calls:
+            write_surface_csv(surf, buf)
+        assert calls == [1]
+        mat = np.column_stack((surf.p1, surf.p2, surf.values))
+        assert buf.getvalue() == _per_cell_csv_text(mat, "# p1,p2,value")
+
+    def test_repeated_special_values_keep_their_own_repr(self, rng, monkeypatch):
+        mat = rng.choice(_SPECIAL_VALUES, size=(60, 7))
+        mat[0, :4] = [0.0, -0.0, -0.0, 0.0]
+        mat[1, :2] = [-0.0, 0.0]
+        want = _per_cell_csv_text(mat)
+        assert "0.0,-0.0,-0.0,0.0," in want and "nan" in want and "-inf" in want and "5e-324" in want
+        buf = io.StringIO()
+        with _distinct_calls(monkeypatch) as calls:
+            write_matrix_csv(buf, mat)
+        assert calls == [1]
+        assert buf.getvalue() == want
+
+    @pytest.mark.parametrize("repeated", [True, False], ids=["repeated", "distinct"])
+    def test_non_contiguous_inputs(self, repeated, rng):
+        if repeated:
+            base = rng.choice(_SPECIAL_VALUES, size=(40, 9))
+        else:
+            base = rng.standard_normal((40, 9))
+        base[::3, 1] = -0.0
+        views = [base.T, base[:, ::2], base[:, 3:7], base[::-2, ::-3], np.asfortranarray(base)]
+        for mat in views:
+            buf = io.StringIO()
+            write_matrix_csv(buf, mat)
+            assert buf.getvalue() == _per_cell_csv_text(mat)
+
+    @pytest.mark.parametrize("n_distinct, formats_once", [(20, True), (21, False)])
+    def test_either_side_of_the_half_distinct_threshold(self, n_distinct, formats_once, monkeypatch):
+        # 40 cells: at most 20 distinct values are formatted once each, 21 cell by cell
+        values = np.concatenate(([-0.0, 0.0], np.arange(1, n_distinct - 1) / 7.0))
+        mat = np.resize(values, (10, 4))
+        assert np.unique(mat.view(np.int64)).size == n_distinct
+        buf = io.StringIO()
+        with _distinct_calls(monkeypatch) as calls:
+            write_matrix_csv(buf, mat)
+        assert bool(calls) == formats_once
+        assert buf.getvalue() == _per_cell_csv_text(mat)
+
+    def test_distinct_step_matches_np_unique(self, rng):
+        for values in (
+            rng.choice(_SPECIAL_VALUES, size=500),
+            rng.integers(0, 3, size=64).astype(float) - 1.0,
+            np.full(5, -0.0),
+            np.array([np.nan]),
+            rng.standard_normal(300),
+        ):
+            bits = values.view(np.int64)
+            distinct, inverse = probmat._distinct_inverse(bits)
+            want_distinct, want_inverse = np.unique(bits, return_inverse=True)
+            assert np.array_equal(distinct, want_distinct) and np.array_equal(inverse, want_inverse)
+
     @pytest.mark.parametrize("shape", [(), (4,), (2, 2, 2)], ids=["0d", "1d", "3d"])
     def test_writer_rejects_non_2d(self, shape):
         message = rf"^expected a 2-D matrix, got {len(shape)} dimension\(s\)$"
         with pytest.raises(DimensionError, match=message):
             write_matrix_csv(io.StringIO(), np.full(shape, 0.5))
+
+
+# float64 values whose repr is easy to get wrong: signed zeros, NaNs with the
+# sign bit set and with payloads, infinities, subnormals
+_SPECIAL_VALUES = np.concatenate(
+    (
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.225073858507201e-308, 1.0, 0.1],
+        np.array([0xFFF8000000000000, 0x7FF8000000000001, 0xFFF0000000000002], dtype=np.uint64).view(float),
+    )
+)
+
+
+@contextlib.contextmanager
+def _distinct_calls(monkeypatch):
+    """Record each call of the writer's distinct-value step, which it skips when most cells are distinct."""
+    calls = []
+    step = probmat._distinct_inverse
+    with monkeypatch.context() as patch:
+        patch.setattr(probmat, "_distinct_inverse", lambda *a: calls.append(1) or step(*a))
+        yield calls
 
 
 def _per_cell_csv_text(mat, header=None) -> str:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -137,6 +138,11 @@ class TestConfig:
             ({"target_counts": ("60", True, 10)}, "each entry of target_counts"),
             ({"shift": ("1", 0.0)}, "each entry of shift"),
             ({"shift": (False, 0.0)}, "each entry of shift"),
+            ({"learning_rate": math.nan}, "learning_rate"),
+            ({"noise_scale": math.inf}, "noise_scale"),
+            ({"center_spread": -math.inf}, "center_spread"),
+            ({"momentum": math.nan}, "momentum"),
+            ({"shift": (math.nan, 0.0)}, "each entry of shift"),
         ],
         ids=[
             "epochs_str",
@@ -148,6 +154,11 @@ class TestConfig:
             "counts_str_bool",
             "shift_str",
             "shift_bool",
+            "learning_rate_nan",
+            "noise_scale_inf",
+            "center_spread_neg_inf",
+            "momentum_nan",
+            "shift_nan",
         ],
     )
     def test_rejects_wrong_type_naming_the_field(self, kwargs, key):
