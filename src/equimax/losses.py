@@ -35,9 +35,16 @@ Jacobi pass per matrix and also flags which gradients are exact; one matrix
 goes through that chain (Jacobi, sort, left factor, Gram-Schmidt, flags) as
 2-D arrays, with the same bits as a row of a stack.
 
+Output bits are pinned per host, with BLAS on one thread.  A multi-threaded
+BLAS may split matrix products differently, and numpy picks its ``power``
+loop by the CPU features it finds, so ``power`` (``cwsm``, the ``ns`` pair
+term and its gradient weights) can round differently on another host.
+``sqrt`` is correctly rounded everywhere, so the ``ns`` pair term at r = 1/2
+takes it.
+
 The SVD is a deterministic, seed-free one-sided Jacobi rather than a library
-call, so results are bit-reproducible across platforms and the nuclear-norm
-path stays independent of the closed-form checks used in the tests.  Tall
+call, so it does not depend on a LAPACK build and the nuclear-norm path
+stays independent of the closed-form checks used in the tests.  Tall
 matrices are first reduced to their square triangular factor by Householder
 QR (Drmac and Veselic 2008), and each sweep rotates the disjoint column
 pairs of one round-robin round at a time (Brent and Luk 1985) until a sweep
@@ -573,7 +580,12 @@ def _nsm(
     The pair sum over ordered sample pairs i != j of overlap_ij^r has an
     O(BC) closed form at r = 1.  Otherwise one row-blocked pass over the
     overlaps adds it up together with the gradient rows 2r * W @ P, where
-    W_ij = overlap_ij^(r-1) for i != j.
+    W_ij = overlap_ij^(r-1) for i != j.  At r = 1/2 the pair term is taken
+    with ``sqrt``, which is correctly rounded.  A block whose overlaps all
+    lie above _PAIR_GRAD_FLOOR gets W from a plain ``power``; only a block
+    with an overlap at or below it takes the masked ``power``, which leaves
+    those weights at 0.  Each block's W @ P lands in its rows of the
+    gradient, which is scaled by 2r once after the loop.
     """
     n_rows = stack.shape[-2]
     squares = _squares_stack(stack)
@@ -588,7 +600,10 @@ def _nsm(
         # fixed ~512 KB overlap tile per matrix so per-element cost is uniform in B
         block = max(1, min(n_rows, 65536 // n_rows))
         pair_sum = np.zeros(stack.shape[:-2])
-        d_pair = np.zeros_like(stack) if want_grad else None
+        with_weights = want_grad and r > 0.0
+        if want_grad:
+            # every row is written below unless r == 0, where the pair term is flat
+            d_pair = np.empty_like(stack) if with_weights else np.zeros_like(stack)
         rows = np.arange(n_rows)
         trans = stack.swapaxes(-1, -2)
         for start in range(0, n_rows, block):
@@ -596,17 +611,26 @@ def _nsm(
             np.maximum(overlap, 0.0, out=overlap)
             span = rows[start : start + block]
             diag = (..., span - start, span)
-            if want_grad and r > 0.0:
-                weights = np.zeros_like(overlap)
-                np.power(overlap, r - 1.0, where=overlap > _PAIR_GRAD_FLOOR, out=weights)
+            if with_weights:
+                if overlap.size and overlap.min() > _PAIR_GRAD_FLOOR:
+                    # no overlap to mask: plain power, same bits as the masked one
+                    weights = np.power(overlap, r - 1.0)
+                else:
+                    weights = np.zeros_like(overlap)
+                    np.power(overlap, r - 1.0, where=overlap > _PAIR_GRAD_FLOOR, out=weights)
                 weights[diag] = 0.0
-                d_pair[..., start : start + block, :] = 2.0 * r * np.matmul(weights, stack)
+                np.matmul(weights, stack, out=d_pair[..., start : start + block, :])
             if r == 0.0:
                 overlap = overlap > 0.0
+            elif r == 0.5:
+                # correctly rounded at half the cost of power; `overlap **= 0.5` takes this path too
+                np.sqrt(overlap, out=overlap)
             else:
                 np.power(overlap, r, out=overlap)
             pair_sum += overlap.sum(axis=(-2, -1))
             pair_sum -= overlap[diag].sum(axis=-1)
+        if with_weights:
+            d_pair *= 2.0 * r
     denom = pair_sum + alpha * squares
     if np.any(denom < _DENOM_TOL):
         raise ZeroDivisionError(

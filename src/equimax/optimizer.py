@@ -31,8 +31,9 @@ from typing import IO, Optional
 
 import numpy as np
 
+from . import probmat
 from .losses import LossConfig, _loss_grads_stack, _loss_values_stack
-from .probmat import one_hot_matrix, project_rows, write_matrix_csv
+from .probmat import one_hot_matrix, project_rows
 
 ACCEPT_TOL = 1e-10
 TOL_GRAD = 1e-7
@@ -317,7 +318,7 @@ def write_surface_csv(surf: SurfaceGrid, target: str | IO[str]) -> str | None:
     When ``target`` is a path the sidecar lands at ``<target>.argmax.json``
     and its path is returned; for streams only the CSV is written.
     """
-    write_matrix_csv(target, np.column_stack((surf.p1, surf.p2, surf.values)), header="# p1,p2,value")
+    probmat.write_matrix_csv(target, np.column_stack((surf.p1, surf.p2, surf.values)), header="# p1,p2,value")
     if hasattr(target, "write"):
         return None
     sidecar = {

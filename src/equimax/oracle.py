@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -288,8 +289,10 @@ def verify_theorem_4_5(
     optimum has one-hot rows (the statement-4 side).  ``theorem_id`` labels
     the report 4 or 5; the computation is shared.
     """
-    if alpha <= 0.0:
+    if not 0.0 < alpha < math.inf:  # written so that NaN fails too
         raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     if theorem_id not in (4, 5):
         raise ValueError(f"theorem_id must be 4 or 5, got {theorem_id}")
     # checks the shape before the enumeration, which would divide 0 by 0 at B = 0
@@ -349,9 +352,9 @@ def verify_theorem_6(
         raise ValueError(f"statement 6 requires B <= C, got B={n_rows} > C={n_cols}")
     if not 0.0 < r < 1.0:
         raise ValueError(f"statement 6 covers 0 < r < 1, got r={r}")
-    if epsilon <= 0.0:
+    if not 0.0 < epsilon < math.inf:  # written so that NaN fails too
         raise ValueError(f"statement 6 requires epsilon > 0, got {epsilon}")
-    if alpha <= 0.0:
+    if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     stack, labels = _one_hot_label_stack(n_rows, n_cols, budget)
     values = _ns_stack(stack, r, alpha, epsilon)

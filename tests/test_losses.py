@@ -601,6 +601,105 @@ class TestNs:
                 assert abs(ns(mat, r, 1.0, 1e-6) - expect) <= 1e-12
 
 
+def _nsm_reference(stack, r, alpha, epsilon, want_grad):
+    """The fractional-r nsm kernel before sqrt at r = 1/2, the unmasked power and the in-place
+    gradient rows: the byte reference for losses._nsm."""
+    n_rows = stack.shape[-2]
+    squares = losses._squares_stack(stack)
+    block = max(1, min(n_rows, 65536 // n_rows))
+    pair_sum = np.zeros(stack.shape[:-2])
+    d_pair = np.zeros_like(stack) if want_grad else None
+    rows = np.arange(n_rows)
+    trans = stack.swapaxes(-1, -2)
+    for start in range(0, n_rows, block):
+        overlap = np.matmul(stack[..., start : start + block, :], trans)
+        np.maximum(overlap, 0.0, out=overlap)
+        span = rows[start : start + block]
+        diag = (..., span - start, span)
+        if want_grad and r > 0.0:
+            weights = np.zeros_like(overlap)
+            np.power(overlap, r - 1.0, where=overlap > losses._PAIR_GRAD_FLOOR, out=weights)
+            weights[diag] = 0.0
+            d_pair[..., start : start + block, :] = 2.0 * r * np.matmul(weights, stack)
+        if r == 0.0:
+            overlap = overlap > 0.0
+        else:
+            np.power(overlap, r, out=overlap)
+        pair_sum += overlap.sum(axis=(-2, -1))
+        pair_sum -= overlap[diag].sum(axis=-1)
+    denom = pair_sum + alpha * squares
+    if np.any(denom < losses._DENOM_TOL):
+        raise ZeroDivisionError(
+            f"normalized-squares denominator {float(denom.min())!r} below {losses._DENOM_TOL}"
+        )
+    values = squares / denom + epsilon * squares
+    if d_pair is None:
+        return -values, None
+    d_squares = 2.0 * stack
+    d_denom = d_pair + alpha * d_squares
+    grads = (
+        d_squares * denom[..., None, None] - squares[..., None, None] * d_denom
+    ) / (denom * denom)[..., None, None] + epsilon * d_squares
+    return -values, -grads
+
+
+def _disjoint_tail(rng, n_rows, n_tail):
+    """Dense 3-class rows, then n_tail rows alternating between supports {0} and {1, 2}."""
+    mat = random_matrix(rng, n_rows, 3) * 0.9 + 0.1 / 3
+    mat[n_rows - n_tail :: 2] = [1.0, 0.0, 0.0]
+    mat[n_rows - n_tail + 1 :: 2] = [0.0, 0.25, 0.75]
+    return mat
+
+
+class TestNsmPairPass:
+    """losses._nsm against the reference loop, byte for byte, values and gradients."""
+
+    @staticmethod
+    def _outcome(kernel, stack, r, alpha, epsilon, want_grad):
+        try:
+            values, grads = kernel(stack, r, alpha, epsilon, want_grad)
+        except ZeroDivisionError as exc:
+            return str(exc)
+        return values.shape, values.tobytes(), None if grads is None else (grads.shape, grads.tobytes())
+
+    @staticmethod
+    def _cases(rng):
+        tiny = np.array([[1.0 - 1e-170, 1e-170, 0.0], [0.0, 1e-140, 1.0 - 1e-140], [0.2, 0.3, 0.5]])
+        return {
+            "single block 30x3": random_matrix(rng, 30, 3),
+            "single block 7x5": random_matrix(rng, 7, 5),
+            "two blocks 300x4": random_matrix(rng, 300, 4),
+            "partial last block 1100x3": random_matrix(rng, 1100, 3),
+            "stack 4x40x5": rng.dirichlet(np.ones(5), size=(4, 40)),
+            "stack 3x300x4": rng.dirichlet(np.ones(4), size=(3, 300)),
+            "disjoint one-hot 6x6": np.eye(6),
+            "disjoint tail 600x3": _disjoint_tail(rng, 600, 120),
+            "disjoint tail stack 2x600x3": np.stack([_disjoint_tail(rng, 600, 120), random_matrix(rng, 600, 3)]),
+            "overlaps at and below the floor": tiny,
+            "empty stack 0x5x3": np.zeros((0, 5, 3)),
+            "one row": random_matrix(rng, 1, 4),
+        }
+
+    @pytest.mark.parametrize("want_grad", [True, False])
+    @pytest.mark.parametrize("r", [0.0, 0.25, 0.5, 0.9])
+    def test_same_bytes_as_the_reference_loop(self, rng, r, want_grad):
+        for name, stack in self._cases(rng).items():
+            for alpha, epsilon in ((1.0, 1e-6), (2.0, 0.25), (0.0, 0.0)):
+                got = self._outcome(losses._nsm, stack, r, alpha, epsilon, want_grad)
+                expect = self._outcome(_nsm_reference, stack, r, alpha, epsilon, want_grad)
+                assert got == expect, (name, r, alpha, epsilon, want_grad)
+
+    def test_cases_cover_both_weight_paths(self, rng):
+        # the disjoint tail's blocks hold zero overlaps, the dense head's blocks none
+        mat = _disjoint_tail(rng, 600, 120)
+        block = 65536 // 600
+        head = np.maximum(mat[:block] @ mat.T, 0.0)
+        tail = np.maximum(mat[-block:] @ mat.T, 0.0)
+        assert head.min() > losses._PAIR_GRAD_FLOOR
+        assert tail.min() == 0.0
+        assert -(-600 // block) == 6
+
+
 class TestMetrics:
     def test_discriminability(self):
         assert discriminability(P3) == 1.0

@@ -253,6 +253,23 @@ class TestSurfaceIo:
         assert write_surface_csv(grid, buf) is None
         assert buf.getvalue() == want
 
+    def test_writes_through_the_probmat_module(self, monkeypatch):
+        # a wrapper set on probmat.write_matrix_csv sees the surface write
+        from equimax import probmat
+
+        calls = []
+        writer = probmat.write_matrix_csv
+
+        def spy(target, mat, **kwargs):
+            calls.append(mat.shape)
+            writer(target, mat, **kwargs)
+
+        monkeypatch.setattr(probmat, "write_matrix_csv", spy)
+        buf = io.StringIO()
+        write_surface_csv(surface(LossConfig("ms"), 5), buf)
+        assert calls == [(25, 3)]
+        assert buf.getvalue().startswith("# p1,p2,value\n")
+
     def test_stream_round_trip(self):
         grid = surface(LossConfig("ms"), 5)
         buf = io.StringIO()

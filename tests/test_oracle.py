@@ -195,6 +195,29 @@ class TestTheorem45:
         with pytest.raises(ValueError):
             verify_theorem_4_5(4, 2, 0.0, 0.0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_alpha_rejected_before_the_enumeration(self, alpha, monkeypatch):
+        import equimax.oracle as oracle
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("compositions enumerated")
+
+        monkeypatch.setattr(oracle, "enumerate_size_compositions", no_enumeration)
+        with pytest.raises(ValueError, match=f"^alpha must be > 0, got {alpha}$"):
+            verify_theorem_4_5(4, 2, alpha, 0.0)
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf"), -1e-6])
+    def test_bad_epsilon_rejected_without_the_ascent(self, epsilon, monkeypatch):
+        # run_ascent=False builds no LossConfig, so the check is the function's own
+        import equimax.oracle as oracle
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("compositions enumerated")
+
+        monkeypatch.setattr(oracle, "enumerate_size_compositions", no_enumeration)
+        with pytest.raises(ValueError, match=f"^epsilon must be finite and >= 0, got {epsilon}$"):
+            verify_theorem_4_5(4, 2, 1.0, epsilon, run_ascent=False)
+
     @pytest.mark.parametrize("theorem_id", [4, 5])
     @pytest.mark.parametrize("n_rows, n_cols", [(0, 3), (3, 1)])
     def test_shape_rejected_before_the_enumeration(self, n_rows, n_cols, theorem_id, monkeypatch):
@@ -235,6 +258,19 @@ class TestTheorem6:
             verify_theorem_6(2, 3, 1.0, 1.0, 1e-6)
         with pytest.raises(ValueError):
             verify_theorem_6(2, 3, 0.5, 1.0, 0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_alpha_or_epsilon_rejected_before_the_enumeration(self, value, monkeypatch):
+        import equimax.oracle as oracle
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("one-hot matrices enumerated")
+
+        monkeypatch.setattr(oracle, "_one_hot_label_stack", no_enumeration)
+        with pytest.raises(ValueError, match=f"^statement 6 requires epsilon > 0, got {value}$"):
+            verify_theorem_6(2, 3, 0.5, 1.0, value)
+        with pytest.raises(ValueError, match=f"^alpha must be > 0, got {value}$"):
+            verify_theorem_6(2, 3, 0.5, value, 1e-6)
 
 
 class TestSizeSufficiency:
