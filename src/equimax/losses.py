@@ -602,8 +602,9 @@ def _nsm(
         pair_sum = np.zeros(stack.shape[:-2])
         with_weights = want_grad and r > 0.0
         if want_grad:
-            # every row is written below unless r == 0, where the pair term is flat
-            d_pair = np.empty_like(stack) if with_weights else np.zeros_like(stack)
+            # every row is written below unless r == 0, where the pair term is flat;
+            # C order keeps each block's rows a BLAS-ready matmul output for any input layout
+            d_pair = np.empty_like(stack, order="C") if with_weights else np.zeros_like(stack, order="C")
         rows = np.arange(n_rows)
         trans = stack.swapaxes(-1, -2)
         for start in range(0, n_rows, block):
