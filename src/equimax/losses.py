@@ -85,6 +85,8 @@ _JACOBI_TOL = 1e-14
 _SCALAR_PAIRS = 4
 # entries per working array when a stack is decomposed chunk by chunk
 _CHUNK_FLOATS = 2**16
+# overlaps per tile when the nsm pair pass runs a stack's matrices in groups
+_PAIR_TILE = 2**13
 _DENOM_TOL = 1e-15
 
 
@@ -505,6 +507,13 @@ def _squares_stack(stack: np.ndarray) -> np.ndarray:
     return np.einsum("...bc,...bc->...", stack, stack)
 
 
+def _equity_stack(stack: np.ndarray) -> np.ndarray:
+    """1 - sum_c |size_c / B - 1/C| of a (..., B, C) array."""
+    n_rows, n_cols = stack.shape[-2:]
+    share = stack.sum(axis=-2) / n_rows
+    return 1.0 - np.abs(share - 1.0 / n_cols).sum(axis=-1)
+
+
 def _ms(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
     n_rows = stack.shape[-2]
     return -_squares_stack(stack) / n_rows, (-2.0 * stack / n_rows if want_grad else None)
@@ -575,7 +584,7 @@ def _cwsm(stack: np.ndarray, r: float, want_grad: bool) -> tuple[np.ndarray, np.
 def _nsm(
     stack: np.ndarray, r: float, alpha: float, epsilon: float, want_grad: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Negated normalized squares of a (..., B, C) array and, when asked, its gradient.
+    """Negated normalized squares of a (B, C) matrix or an (N, B, C) stack and, when asked, its gradient.
 
     The pair sum over ordered sample pairs i != j of overlap_ij^r has an
     O(BC) closed form at r = 1.  Otherwise one row-blocked pass over the
@@ -585,7 +594,9 @@ def _nsm(
     lie above _PAIR_GRAD_FLOOR gets W from a plain ``power``; only a block
     with an overlap at or below it takes the masked ``power``, which leaves
     those weights at 0.  Each block's W @ P lands in its rows of the
-    gradient, which is scaled by 2r once after the loop.
+    gradient, which is scaled by 2r once after the loop.  A stack runs in
+    groups of matrices, each matrix with a lone matrix's row blocks, so
+    each row of the result has a lone matrix's bits.
     """
     n_rows = stack.shape[-2]
     squares = _squares_stack(stack)
@@ -597,7 +608,10 @@ def _nsm(
         if want_grad:
             d_pair = 2.0 * size[..., None, :] - 2.0 * stack
     else:
-        # fixed ~512 KB overlap tile per matrix so per-element cost is uniform in B
+        # a matrix's row block holds at most 65536 overlaps (~512 KB), so per-element cost is
+        # uniform in B; a stack's matrices run in groups whose tile holds at most _PAIR_TILE
+        # overlaps, or one matrix's block if that is larger, so the working arrays stay
+        # bounded however many matrices the stack holds
         block = max(1, min(n_rows, 65536 // n_rows))
         pair_sum = np.zeros(stack.shape[:-2])
         with_weights = want_grad and r > 0.0
@@ -605,31 +619,41 @@ def _nsm(
             # every row is written below unless r == 0, where the pair term is flat;
             # C order keeps each block's rows a BLAS-ready matmul output for any input layout
             d_pair = np.empty_like(stack, order="C") if with_weights else np.zeros_like(stack, order="C")
+        if stack.ndim == 2:
+            groups = [...]  # a lone matrix is its own group
+        else:
+            group = max(1, _PAIR_TILE // (block * n_rows))
+            groups = [slice(first, first + group) for first in range(0, stack.shape[0], group)]
         rows = np.arange(n_rows)
-        trans = stack.swapaxes(-1, -2)
-        for start in range(0, n_rows, block):
-            overlap = np.matmul(stack[..., start : start + block, :], trans)
-            np.maximum(overlap, 0.0, out=overlap)
-            span = rows[start : start + block]
-            diag = (..., span - start, span)
-            if with_weights:
-                if overlap.size and overlap.min() > _PAIR_GRAD_FLOOR:
-                    # no overlap to mask: plain power, same bits as the masked one
-                    weights = np.power(overlap, r - 1.0)
+        for mats in groups:
+            part = stack[mats]
+            part_sum = pair_sum[mats]  # a view: the sums below land in pair_sum
+            trans = part.swapaxes(-1, -2)
+            for start in range(0, n_rows, block):
+                overlap = np.matmul(part[..., start : start + block, :], trans)
+                np.maximum(overlap, 0.0, out=overlap)
+                if with_weights:
+                    if overlap.size and overlap.min() > _PAIR_GRAD_FLOOR:
+                        # no overlap to mask: plain power, same bits as the masked one
+                        weights = np.power(overlap, r - 1.0)
+                    else:
+                        weights = np.zeros_like(overlap)
+                        np.power(overlap, r - 1.0, where=overlap > _PAIR_GRAD_FLOOR, out=weights)
+                    span = rows[start : start + block]
+                    weights[..., span - start, span] = 0.0
+                    np.matmul(weights, part, out=d_pair[mats][..., start : start + block, :])
+                if r == 0.0:
+                    overlap = overlap > 0.0
+                elif r == 0.5:
+                    # correctly rounded at half the cost of power; `overlap **= 0.5` takes this path too
+                    np.sqrt(overlap, out=overlap)
                 else:
-                    weights = np.zeros_like(overlap)
-                    np.power(overlap, r - 1.0, where=overlap > _PAIR_GRAD_FLOOR, out=weights)
-                weights[diag] = 0.0
-                np.matmul(weights, stack, out=d_pair[..., start : start + block, :])
-            if r == 0.0:
-                overlap = overlap > 0.0
-            elif r == 0.5:
-                # correctly rounded at half the cost of power; `overlap **= 0.5` takes this path too
-                np.sqrt(overlap, out=overlap)
-            else:
-                np.power(overlap, r, out=overlap)
-            pair_sum += overlap.sum(axis=(-2, -1))
-            pair_sum -= overlap[diag].sum(axis=-1)
+                    np.power(overlap, r, out=overlap)
+                part_sum += overlap.sum(axis=(-2, -1))
+                # a strided view, so each matrix's diagonal is summed pairwise along its own
+                # row, as a lone matrix's is; a fancy-indexed diagonal of a stack comes out
+                # transposed and is summed in sequence, with other bits
+                part_sum -= overlap.diagonal(start, -2, -1).sum(axis=-1)
         if with_weights:
             d_pair *= 2.0 * r
     denom = pair_sum + alpha * squares
@@ -751,10 +775,7 @@ def discriminability(P: np.ndarray) -> float:
 
 def equity_metric(P: np.ndarray) -> float:
     """1 - sum_c |size_c / B - 1/C|: 1 iff all soft class sizes are equal."""
-    arr = _as_matrix(P)
-    n_rows, n_cols = arr.shape
-    share = arr.sum(axis=0) / n_rows
-    return float(1.0 - np.abs(share - 1.0 / n_cols).sum())
+    return float(_equity_stack(_as_matrix(P)))
 
 
 def loss_value(P: np.ndarray, cfg: LossConfig) -> float:

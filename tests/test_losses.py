@@ -602,8 +602,10 @@ class TestNs:
 
 
 def _nsm_reference(stack, r, alpha, epsilon, want_grad):
-    """The fractional-r nsm kernel before sqrt at r = 1/2, the unmasked power and the in-place
-    gradient rows: the byte reference for losses._nsm."""
+    """The fractional-r nsm kernel before sqrt at r = 1/2, the unmasked power, the in-place
+    gradient rows and the groups of a stack's matrices: the byte reference for losses._nsm.
+    It takes each block's diagonal as a strided view, as the kernel does, so a stack row
+    has a lone matrix's bits."""
     n_rows = stack.shape[-2]
     squares = losses._squares_stack(stack)
     block = max(1, min(n_rows, 65536 // n_rows))
@@ -627,7 +629,7 @@ def _nsm_reference(stack, r, alpha, epsilon, want_grad):
             # numpy's in-place power takes sqrt at r = 0.5, so the reference has the same bits on every host
             overlap **= r
         pair_sum += overlap.sum(axis=(-2, -1))
-        pair_sum -= overlap[diag].sum(axis=-1)
+        pair_sum -= overlap.diagonal(start, -2, -1).sum(axis=-1)
     denom = pair_sum + alpha * squares
     if np.any(denom < losses._DENOM_TOL):
         raise ZeroDivisionError(
@@ -691,6 +693,43 @@ class TestNsmPairPass:
                 got = self._outcome(losses._nsm, stack, r, alpha, epsilon, want_grad)
                 expect = self._outcome(_nsm_reference, stack, r, alpha, epsilon, want_grad)
                 assert got == expect, (name, r, alpha, epsilon, want_grad)
+
+
+def _softmax_stack(rng, n_mats, n_rows, n_cols):
+    """Softmax rows of scaled Gaussian logits, as a trained classifier's predictions."""
+    logits = 3.0 * rng.standard_normal((n_mats, n_rows, n_cols))
+    exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+class TestStackRowsMatchLoneCalls:
+    """Each row of a stack gets a lone matrix's bits from every kernel, values and gradients."""
+
+    @staticmethod
+    def _stacks(rng):
+        many = rng.dirichlet(np.ones(3), size=(200, 12))
+        assert 200 * 12 * 12 > 3 * losses._PAIR_TILE  # the nsm pair pass runs it in several groups
+        return {
+            # toyuda's epoch matrices: the fancy-indexed nsm diagonal of a stack gave them other bits
+            "softmax 40x100x3": _softmax_stack(rng, 40, 100, 3),
+            "one block 6x30x3": rng.dirichlet(np.ones(3), size=(6, 30)),
+            "two blocks 3x300x4": rng.dirichlet(np.ones(4), size=(3, 300)),
+            "disjoint tail 2x600x3": np.stack([_disjoint_tail(rng, 600, 120), random_matrix(rng, 600, 3)]),
+            "groups 200x12x3": many,
+        }
+
+    @pytest.mark.parametrize(
+        "kind, r", [("ms", 0.5), ("bnm", 0.5)] + [(kind, r) for kind in ("cwsm", "nsm") for r in (0.0, 0.3, 0.5, 1.0)]
+    )
+    def test_same_bytes_as_lone_calls(self, rng, kind, r):
+        for name, stack in self._stacks(rng).items():
+            for want_grad in (False, True):
+                values, grads = losses._loss_stack(kind, stack, r, 1.0, 1e-6, want_grad)
+                for idx, mat in enumerate(stack):
+                    value, grad = losses._loss_stack(kind, mat, r, 1.0, 1e-6, want_grad)
+                    assert values[idx].tobytes() == value.tobytes(), (name, idx, want_grad)
+                    if want_grad:
+                        assert grads[idx].tobytes() == grad.tobytes(), (name, idx)
 
 
 class TestMetrics:

@@ -6,7 +6,16 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from equimax.losses import LOSS_KINDS, LossConfig, discriminability, equity_metric, gradient, loss_value
+from equimax import losses
+from equimax.losses import (
+    LOSS_KINDS,
+    ConvergenceError,
+    LossConfig,
+    discriminability,
+    equity_metric,
+    gradient,
+    loss_value,
+)
 from equimax.probmat import validate
 from equimax import toyuda
 from equimax.toyuda import (
@@ -98,6 +107,13 @@ def reference_train(config):
 # 120 source and 42 target rows in batches of 32: each epoch ends on a
 # partial target batch of 10, and the source is reshuffled mid-epoch
 WRAPPING = replace(SMALL, source_per_class=40, target_counts=(24, 12, 6), batch_size=32, epochs=8)
+# diverges at epoch 4 with ms and at epoch 9 with nsm, so earlier epochs are pending by then
+LATE_DIVERGING = replace(SMALL, learning_rate=300.0, noise_scale=1.0, center_spread=1.0, epochs=30)
+
+
+def flush_every(monkeypatch, cfg, epochs):
+    """Make train score its buffered target predictions every ``epochs`` epochs."""
+    monkeypatch.setattr(toyuda, "_CHUNK_FLOATS", epochs * sum(cfg.target_counts) * cfg.classes)
 
 
 class TestConfig:
@@ -316,23 +332,75 @@ class TestTrain:
                 replace(SMALL, learning_rate=1e6, noise_scale=3.0, center_spread=1.0, epochs=30)
             )
 
+    # flushes every 3 epochs: 4 flushes of SMALL's 12 epochs, 3 of WRAPPING's 8
+    @pytest.mark.parametrize("flush_epochs", [None, 3], ids=["one_flush", "flush3"])
     @pytest.mark.parametrize("base", [SMALL, WRAPPING], ids=["batch10", "batch32"])
     @pytest.mark.parametrize("momentum, rate", [(0.0, 0.1), (0.9, 0.02)], ids=["plain", "momentum"])
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     @pytest.mark.parametrize("kind", LOSS_KINDS)
-    def test_same_bytes_as_the_reference_loop(self, kind, lam, momentum, rate, base):
+    def test_same_bytes_as_the_reference_loop(self, monkeypatch, kind, lam, momentum, rate, base, flush_epochs):
         # no golden hash: exp, log and power bits follow the CPU's SIMD dispatch
         cfg = replace(base, momentum=momentum, learning_rate=rate, loss=LossConfig(kind, lam=lam))
+        if flush_epochs:
+            flush_every(monkeypatch, cfg, flush_epochs)
         got = json.dumps(train(cfg).to_dict(), sort_keys=True)
         assert got == json.dumps(reference_train(cfg).to_dict(), sort_keys=True)
 
-    def test_divergence_message_matches_the_reference_loop(self):
-        cfg = replace(SMALL, learning_rate=1e6, noise_scale=3.0, center_spread=1.0, epochs=30)
+    def test_large_target_flushes_three_times(self, monkeypatch):
+        # 1000 target rows: the buffer holds 21 epochs, so 60 epochs are scored as 21 + 21 + 18
+        cfg = ToyUdaConfig(epochs=60, target_counts=(600, 300, 100), loss=LossConfig("nsm", lam=1.0))
+        stacks = []
+
+        def counted(kind, stack, *args):
+            stacks.append(stack.shape[0])
+            return losses._loss_values_stack(kind, stack, *args)
+
+        monkeypatch.setattr(toyuda, "_loss_values_stack", counted)
+        got = json.dumps(train(cfg).to_dict(), sort_keys=True)
+        assert stacks == [21, 21, 18]
+        assert got == json.dumps(reference_train(cfg).to_dict(), sort_keys=True)
+
+    @pytest.mark.parametrize("flush_epochs", [None, 4], ids=["one_flush", "flush4"])
+    @pytest.mark.parametrize(
+        "cfg, epoch",
+        [
+            (replace(SMALL, learning_rate=1e6, noise_scale=3.0, center_spread=1.0, epochs=30), 0),
+            (replace(LATE_DIVERGING, loss=LossConfig("ms")), 4),
+            (replace(LATE_DIVERGING, loss=LossConfig("nsm")), 9),
+        ],
+        ids=["epoch0", "epoch4", "epoch9"],
+    )
+    def test_divergence_message_matches_the_reference_loop(self, monkeypatch, cfg, epoch, flush_epochs):
+        if flush_epochs:
+            flush_every(monkeypatch, cfg, flush_epochs)
         with pytest.raises(TrainingDivergedError) as want:
             reference_train(cfg)
         with pytest.raises(TrainingDivergedError) as got:
             train(cfg)
         assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"epoch {epoch}: ")
+
+    @pytest.mark.parametrize("later", ["divergence", "step"])
+    def test_an_earlier_epochs_scoring_error_wins(self, monkeypatch, later):
+        # the reference loop scores each epoch at its end, so an epoch's scoring error comes
+        # before any later epoch's error; train scores its buffered epochs before an error leaves it
+        def failing_score(*args):
+            raise ZeroDivisionError("scoring")
+
+        monkeypatch.setattr(toyuda, "_loss_values_stack", failing_score)
+        cfg = replace(LATE_DIVERGING, loss=LossConfig("nsm"))
+        if later == "step":
+            steps = []
+
+            def failing_step(probs, loss_cfg):
+                steps.append(None)
+                if len(steps) > 3:  # SMALL takes 3 steps per epoch: fail in epoch 1
+                    raise ConvergenceError("step")
+                return gradient(probs, loss_cfg)
+
+            monkeypatch.setattr(toyuda, "gradient", failing_step)
+        with pytest.raises(ZeroDivisionError, match="^scoring$"):
+            train(cfg)
 
     def test_momentum_variant_runs(self):
         res = train(replace(SMALL, momentum=0.9, learning_rate=0.02))
