@@ -8,7 +8,9 @@ verifies the tight bound 1/alpha + eps*B for rows occupying pairwise
 distinct classes.
 """
 
-from equimax import balanced_sizes, verify_all
+import sys
+
+from equimax import balanced_sizes, verify_all, write_json
 from equimax.optimizer import AscentConfig
 
 ascent = AscentConfig(inits=32, steps=500)
@@ -29,4 +31,5 @@ for n_rows, n_cols in [(4, 2), (7, 3), (3, 4)]:
 # The same reports serialize to stable JSON for downstream tooling:
 report = verify_all(4, 2, ascent=ascent)[0]
 print("sample JSON report:")
-print(report.to_json())
+write_json(sys.stdout, report.to_dict())
+print()

@@ -56,6 +56,7 @@ from .probmat import (
     read_matrix_csv,
     renormalize_rows,
     validate,
+    write_json,
     write_matrix_csv,
 )
 from .toyuda import ToyUdaConfig, ToyUdaResult, train
@@ -108,5 +109,6 @@ __all__ = [
     "verify_theorem_3",
     "verify_theorem_4_5",
     "verify_theorem_6",
+    "write_json",
     "write_matrix_csv",
 ]

@@ -97,7 +97,6 @@ def _cmd_verify(args) -> int:
         reports = oracle.verify_all(
             args.b, args.c, r=args.r, alpha=args.alpha, epsilon=eps, seed=args.seed, trials=args.trials
         )
-        payload = oracle.reports_to_json(reports)
     else:
         num = int(args.theorem)
         if num == 1:
@@ -114,9 +113,7 @@ def _cmd_verify(args) -> int:
             eps6 = eps if eps > 0 else 1e-6
             rep = oracle.verify_theorem_6(args.b, args.c, args.r, args.alpha, eps6, seed=args.seed)
         reports = [rep]
-        payload = rep.to_json()
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
+    probmat.write_json(args.out, [r.to_dict() for r in reports] if args.theorem == "all" else rep.to_dict())
     for rep in reports:
         print(_theorem_summary(rep))
     print(f"report written to {args.out}")

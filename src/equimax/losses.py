@@ -608,11 +608,11 @@ def _nsm(
         if want_grad:
             d_pair = 2.0 * size[..., None, :] - 2.0 * stack
     else:
-        # a matrix's row block holds at most 65536 overlaps (~512 KB), so per-element cost is
-        # uniform in B; a stack's matrices run in groups whose tile holds at most _PAIR_TILE
-        # overlaps, or one matrix's block if that is larger, so the working arrays stay
-        # bounded however many matrices the stack holds
-        block = max(1, min(n_rows, 65536 // n_rows))
+        # a matrix's row block holds at most _CHUNK_FLOATS overlaps (~512 KB), so per-element
+        # cost is uniform in B; a stack's matrices run in groups whose tile holds at most
+        # _PAIR_TILE overlaps, or one matrix's block if that is larger, so the working arrays
+        # stay bounded however many matrices the stack holds
+        block = max(1, min(n_rows, _CHUNK_FLOATS // max(1, n_rows)))
         pair_sum = np.zeros(stack.shape[:-2])
         with_weights = want_grad and r > 0.0
         if want_grad:
@@ -622,7 +622,7 @@ def _nsm(
         if stack.ndim == 2:
             groups = [...]  # a lone matrix is its own group
         else:
-            group = max(1, _PAIR_TILE // (block * n_rows))
+            group = max(1, _PAIR_TILE // max(1, block * n_rows))
             groups = [slice(first, first + group) for first in range(0, stack.shape[0], group)]
         rows = np.arange(n_rows)
         for mats in groups:
@@ -736,10 +736,10 @@ def nuclear_norm(P: np.ndarray) -> float:
 def cws(P: np.ndarray, r: float) -> float:
     """Class weighted squares: (1/C) sum_c (column squared mass) / (soft size)^r.
 
-    A class with zero soft size contributes 0.
+    A class with zero soft size contributes 0.  ``r`` outside [0, 1] raises
+    :class:`LossConfig`'s ValueError.
     """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"r must be in [0, 1], got {r}")
+    LossConfig("cwsm", r=r)
     return -float(_cwsm(_as_matrix(P), r, False)[0])
 
 
@@ -754,11 +754,12 @@ def ns(P: np.ndarray, r: float, alpha: float, epsilon: float) -> float:
     squares / (sum over ordered sample pairs of overlap^r + alpha * squares)
     plus epsilon * squares, with squares = sum_ic P_ic^2 and
     overlap_ij = sum_c P_ic P_jc.  Zero overlaps contribute 0 for every r.
-    Raises ZeroDivisionError when the denominator falls below 1e-15, which
-    is only reachable with alpha = 0.
+    :class:`LossConfig`'s ValueError, naming the field, rejects r outside
+    [0, 1], a negative or non-finite alpha or epsilon, and alpha = 0 with
+    r > 0.  A denominator below 1e-15 (r = 0 with alpha = 0, or no rows)
+    raises ZeroDivisionError.
     """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"r must be in [0, 1], got {r}")
+    LossConfig("nsm", r=r, alpha=alpha, epsilon=epsilon)
     return float(_ns_stack(_as_matrix(P), r, alpha, epsilon))
 
 

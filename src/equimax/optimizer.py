@@ -24,7 +24,6 @@ canonical 2x2 examples: (0,0)=P1, (1,0)=P2, (0,1)=P3, (1,1)=P4.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import IO, Optional
@@ -331,6 +330,5 @@ def write_surface_csv(surf: SurfaceGrid, target: str | IO[str]) -> str | None:
         "argmax": [[a, b] for a, b in surf.argmax],
     }
     sidecar_path = str(target) + ".argmax.json"
-    with open(sidecar_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(sidecar, sort_keys=True, indent=2))
+    probmat.write_json(sidecar_path, sidecar)
     return sidecar_path

@@ -28,10 +28,9 @@ ties listed in full and sorted.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -121,9 +120,6 @@ class TheoremReport:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _composition_array(n_rows: int, n_cols: int, budget: int) -> np.ndarray:
@@ -356,6 +352,7 @@ def verify_theorem_6(
         raise ValueError(f"statement 6 requires epsilon > 0, got {epsilon}")
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be > 0, got {alpha}")
+    balanced_sizes(n_rows, n_cols)  # the shape check of statements 1-5, before the enumeration
     stack, labels = _one_hot_label_stack(n_rows, n_cols, budget)
     values = _ns_stack(stack, r, alpha, epsilon)
     bound = 1.0 / alpha + epsilon * n_rows
@@ -438,7 +435,3 @@ def verify_all(
             )
         )
     return reports
-
-
-def reports_to_json(reports: Sequence[TheoremReport]) -> str:
-    return json.dumps([rep.to_dict() for rep in reports], sort_keys=True, indent=2)

@@ -9,17 +9,17 @@ through :func:`validate` and never re-checks.
 Matrices are plain float64 ``numpy`` arrays, returned read-only so validated
 values can be shared freely between threads.
 
-CSV I/O lives here as well.  :func:`read_array_csv` is the one parser, and
-:func:`write_matrix_csv` is the one writer: gradient, example and surface
-CSVs all come from it.  Each cell is written as the shortest round-trip
-``repr`` of its float64 value, with '\\n' line endings, the same bytes as
-formatting every cell with ``repr(float(x))``; the writer formats each
-distinct bit pattern once when cells repeat.  Neither function loops in
-Python over cells.
+File I/O lives here as well: :func:`read_array_csv` is the one CSV parser,
+and every file the package writes comes from :func:`write_matrix_csv` or
+:func:`write_json`, as UTF-8 with '\\n' line ends.  The CSV writer gives
+each cell the shortest round-trip ``repr`` of its float64 value, the same
+bytes as ``repr(float(x))`` per cell, formatting each distinct bit pattern
+once when cells repeat; neither CSV function loops in Python over cells.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from typing import IO, Iterator
 
@@ -269,7 +269,16 @@ def write_matrix_csv(target: str | IO[str], mat: np.ndarray, header: str | None 
         lines.append((header if header.startswith("#") else "# " + header).replace("%", "%%"))
     # '%s' of a float is its repr; one %-format over all cells gives the whole text
     lines += [",".join(["%s"] * n_cols)] * n_rows
-    text = ("\n".join(lines) + "\n") % _csv_cells(mat)
+    _write_text(target, ("\n".join(lines) + "\n") % _csv_cells(mat))
+
+
+def write_json(target: str | IO[str], obj) -> None:
+    """Write ``json.dumps(obj, sort_keys=True, indent=2)``, no trailing newline; the one JSON writer."""
+    _write_text(target, json.dumps(obj, sort_keys=True, indent=2))
+
+
+def _write_text(target: str | IO[str], text: str) -> None:
+    """Write ``text`` to an open text stream, or to a path as UTF-8 with '\\n' line ends."""
     if hasattr(target, "write"):
         target.write(text)
     else:

@@ -24,7 +24,6 @@ for evaluation only.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import typing
@@ -32,6 +31,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+
+from . import probmat
 
 # loss_value stays bound here although train scores its epochs as stacks: the
 # benchmark's tracer wraps toyuda.loss_value by name
@@ -173,16 +174,12 @@ class ToyUdaResult:
         }
 
     def save(self, prefix: str) -> tuple[str, str]:
-        """Write ``<prefix>.json`` and a ``<prefix>.csv`` trajectory file."""
-        json_path = f"{prefix}.json"
-        csv_path = f"{prefix}.csv"
-        with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(self.to_dict(), sort_keys=True, indent=2))
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# epoch,ce,lt,acc,equity,disc\n")
-            for e in range(self.ce.size):
-                row = (self.ce[e], self.lt[e], self.accuracy[e], self.equity[e], self.disc[e])
-                fh.write(f"{e}," + ",".join(repr(float(v)) for v in row) + "\n")
+        """Write ``<prefix>.json`` and a ``<prefix>.csv`` trajectory file, one row per epoch."""
+        json_path, csv_path = f"{prefix}.json", f"{prefix}.csv"
+        probmat.write_json(json_path, self.to_dict())
+        epochs = np.arange(self.ce.size, dtype=float)
+        table = np.column_stack((epochs, self.ce, self.lt, self.accuracy, self.equity, self.disc))
+        probmat.write_matrix_csv(csv_path, table, header="# epoch,ce,lt,acc,equity,disc")
         return json_path, csv_path
 
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from equimax import losses
+from equimax import losses, optimizer, oracle, toyuda
 from equimax.cli import run
 from equimax.probmat import (
     DimensionError,
@@ -128,9 +128,12 @@ class TestVerify:
         assert err == [f"error: trials must be >= 1, got {trials}"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("theorem", ["4", "5"])
-    @pytest.mark.parametrize("b, c", [("0", "3"), ("3", "1")])
-    def test_theorem_4_5_bad_shape_is_one_error_line(self, theorem, b, c, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "theorem, b, c",
+        # theorem 6 at 3 x 1 stops earlier, at its own B <= C check
+        [("4", "0", "3"), ("4", "3", "1"), ("5", "0", "3"), ("5", "3", "1"), ("6", "0", "3")],
+    )
+    def test_bad_shape_is_one_error_line(self, theorem, b, c, tmp_path, capsys):
         out = tmp_path / "t.json"
         assert run(["verify", "--theorem", theorem, "--b", b, "--c", c, "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
@@ -364,6 +367,36 @@ def test_machine_outputs_round_trip(tmp_path):
 
     expect = gradient(np.asarray(EXAMPLES_4X2["P2"]), LossConfig("cwsm", r=0.5)).grad
     assert np.array_equal(grad, expect)
+
+
+@pytest.mark.parametrize("case", ["report", "report_all", "sidecar", "toyuda"])
+def test_json_files_are_sorted_two_space_dumps(case, tmp_path):
+    # every JSON file comes from probmat.write_json: the dump of its object, no trailing newline
+    path = tmp_path / "out.json"
+    if case == "report":
+        assert run(["verify", "--theorem", "1", "--b", "4", "--c", "2", "--out", str(path)]) == 0
+        obj = oracle.verify_theorem_1(4, 2).to_dict()
+    elif case == "report_all":
+        assert run(["verify", "--theorem", "all", "--b", "2", "--c", "3", "--out", str(path)]) == 0
+        obj = [rep.to_dict() for rep in oracle.verify_all(2, 3)]
+    elif case == "sidecar":
+        grid = optimizer.surface(losses.LossConfig("bnm"), 21)
+        path = optimizer.write_surface_csv(grid, str(tmp_path / "s.csv"))
+        obj = {
+            "loss": "bnm",
+            "r": 0.5,
+            "alpha": 1.0,
+            "epsilon": 1e-6,
+            "grid": 21,
+            "max_value": grid.max_value,
+            "argmax": [[0.0, 1.0], [1.0, 0.0]],
+        }
+    else:
+        result = toyuda.train(toyuda.ToyUdaConfig(epochs=3))
+        path, _ = result.save(str(tmp_path / "run"))
+        obj = result.to_dict()
+    with open(path, "rb") as fh:
+        assert fh.read() == json.dumps(obj, sort_keys=True, indent=2).encode("utf-8")
 
 
 def test_toyuda_csv_round_trips_through_reader(tmp_path):

@@ -579,6 +579,35 @@ class TestNs:
                     expect = -losses._nsm(mat[None], r, alpha, epsilon, False)[0][0]
                     assert ns(mat, r, alpha, epsilon) == float(expect)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0, 3)])
+    @pytest.mark.parametrize("r", [0.3, 0.5, 1.0])
+    def test_no_rows_raise_the_denominator_error(self, shape, r):
+        # every r reaches the kernel's own check, values and gradients alike
+        empty = np.zeros(shape)
+        calls = [lambda want=want: losses._nsm(empty, r, 1.0, 0.0, want) for want in (False, True)]
+        if empty.ndim == 2:
+            calls += [lambda: ns(empty, r, 1.0, 0.0), lambda: losses.gradient(empty, LossConfig("nsm", r=r))]
+        for call in calls:
+            with pytest.raises(ZeroDivisionError, match=r"^normalized-squares denominator 0\.0 below 1e-15$"):
+                call()
+
+    @pytest.mark.parametrize(
+        "alpha, epsilon, field",
+        [
+            (math.nan, 0.0, "alpha"),
+            (math.inf, 0.0, "alpha"),
+            (-1.0, 0.0, "alpha"),
+            (0.0, 0.0, "alpha"),  # ill-posed at r > 0
+            (1.0, math.nan, "epsilon"),
+            (1.0, math.inf, "epsilon"),
+            (1.0, -5.0, "epsilon"),
+        ],
+    )
+    def test_bad_alpha_or_epsilon_names_the_field(self, alpha, epsilon, field):
+        # LossConfig's checks, the ones the command line applies
+        with pytest.raises(ValueError, match=field):
+            ns(P1, 0.5, alpha, epsilon)
+
     def test_nsm_is_negation(self, rng):
         mat = random_matrix(rng, 3, 3)
         assert nsm(mat, 0.5, 1.0, 1e-6) == -ns(mat, 0.5, 1.0, 1e-6)

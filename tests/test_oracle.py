@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -9,7 +10,6 @@ from equimax.oracle import (
     _one_hot_label_stack,
     balanced_sizes,
     hessian_diag,
-    reports_to_json,
     verify_all,
     verify_theorem_1,
     verify_theorem_2,
@@ -18,7 +18,7 @@ from equimax.oracle import (
     verify_theorem_6,
 )
 from equimax.optimizer import AscentConfig
-from equimax.probmat import DEFAULT_ENUM_BUDGET, BudgetError, class_sizes
+from equimax.probmat import DEFAULT_ENUM_BUDGET, BudgetError, class_sizes, write_json
 
 FAST_ASCENT = AscentConfig(inits=24, steps=400)
 # seeds on which a snap-only vertex polish gave wrong verdicts past 5x5
@@ -308,10 +308,16 @@ class TestCrossTheoremIdentity:
                 assert rep1.argmax == rep3.argmax
 
 
+def _json_text(obj) -> str:
+    buf = io.StringIO()
+    write_json(buf, obj)
+    return buf.getvalue()
+
+
 class TestReports:
     def test_json_round_trip(self):
         rep = verify_theorem_1(4, 2)
-        doc = json.loads(rep.to_json())
+        doc = json.loads(_json_text(rep.to_dict()))
         assert set(doc) == {
             "theorem",
             "params",
@@ -325,8 +331,8 @@ class TestReports:
         assert doc["verdict"] == "pass"
 
     def test_reports_reproducible(self):
-        a = reports_to_json(verify_all(4, 2, ascent=FAST_ASCENT))
-        b = reports_to_json(verify_all(4, 2, ascent=FAST_ASCENT))
+        a = _json_text([rep.to_dict() for rep in verify_all(4, 2, ascent=FAST_ASCENT)])
+        b = _json_text([rep.to_dict() for rep in verify_all(4, 2, ascent=FAST_ASCENT)])
         assert a == b
 
     def test_verify_all_coverage(self):

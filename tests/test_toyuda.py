@@ -16,7 +16,7 @@ from equimax.losses import (
     gradient,
     loss_value,
 )
-from equimax.probmat import validate
+from equimax.probmat import read_array_csv, validate
 from equimax import toyuda
 from equimax.toyuda import (
     ToyUdaConfig,
@@ -423,5 +423,8 @@ class TestSerialization:
         assert lines[0] == "# epoch,ce,lt,acc,equity,disc"
         assert len(lines) == 1 + 3
         first = lines[1].split(",")
-        assert int(first[0]) == 0
+        assert first[0] == "0.0"  # the epoch, written as a float like every cell
         assert float(first[1]) == res.ce[0]
+        # the one CSV writer: every column reads back bit for bit
+        columns = (np.arange(3.0), res.ce, res.lt, res.accuracy, res.equity, res.disc)
+        assert read_array_csv(csv_path).tobytes() == np.column_stack(columns).tobytes()
