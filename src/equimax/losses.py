@@ -31,9 +31,11 @@ Each of the four losses has one kernel over a (B, C) matrix or an
 single-matrix functions, the optimizer and the brute-force checks all go
 through it, and the single-matrix functions hand it the matrix itself.  The
 ``bnm`` kernel reads the singular values and the gradient -U V^T / B off one
-Jacobi pass per matrix and also flags which gradients are exact; one matrix
-goes through that chain (Jacobi, sort, left factor, Gram-Schmidt, flags) as
-2-D arrays, with the same bits as a row of a stack.
+Jacobi pass per matrix and also flags which gradients are exact.  The SVD
+and ``nsm`` kernels walk a stack in groups of bounded size and a lone matrix
+as one group, so one matrix runs each step (Jacobi, sort, left factor,
+Gram-Schmidt, pair pass) as 2-D arrays, with the same bits as a row of a
+stack.
 
 Output bits are pinned per host, with BLAS on one thread.  A multi-threaded
 BLAS may split matrix products differently, and numpy picks its ``power``
@@ -83,7 +85,7 @@ _JACOBI_TOL = 1e-14
 # rotation parameters as Python floats: on so few pairs numpy's per-call
 # cost outweighs its vector arithmetic.
 _SCALAR_PAIRS = 4
-# entries per working array when a stack is decomposed chunk by chunk
+# entries per working array when a stack is decomposed group by group
 _CHUNK_FLOATS = 2**16
 # overlaps per tile when the nsm pair pass runs a stack's matrices in groups
 _PAIR_TILE = 2**13
@@ -343,19 +345,6 @@ def _householder_r(mats: np.ndarray) -> np.ndarray:
     return np.triu(a[..., :n, :])
 
 
-def _orthogonalized(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi-rotate an (m, n) matrix or an (N, m, n) stack, m >= n; returns (rotated, rotations V).
-
-    Tall matrices (m >= 2n, n >= 5) are first reduced to their n x n factor
-    R, so the rotated matrices are R @ V instead of work @ V.  Either way
-    their column norms are the singular values of ``work``.
-    """
-    m, n = work.shape[-2:]
-    target = _householder_r(work) if m >= 2 * n and n >= 5 else work.copy()
-    rots, _ = _jacobi_orthogonalize(target, max_sweeps=100 * n)
-    return target, rots
-
-
 def _project_off(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row vectors ``v`` (..., 1, m) projected off the columns of ``basis`` (..., m, idx), twice."""
     # v holds row vectors, so both products are plain matmuls
@@ -411,34 +400,34 @@ def _jacobi_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """Jacobi-rotate a (B, C) matrix or an (N, B, C) stack.
 
     Returns (oriented A (..., m, k) with m >= k, rotations V, unsorted
-    singular values); wide matrices are transposed.
+    singular values); wide matrices are transposed.  A tall A (m >= 2k,
+    k >= 5) is first reduced to its k x k factor R, so the rotated matrices
+    are R @ V instead of A @ V; either way their column norms are the
+    singular values.
     """
     work = mats.swapaxes(-1, -2) if mats.shape[-2] < mats.shape[-1] else mats
-    rotated, rots = _orthogonalized(work)
+    m, k = work.shape[-2:]
+    rotated = _householder_r(work) if m >= 2 * k and k >= 5 else work.copy()
+    rots, _ = _jacobi_orthogonalize(rotated, max_sweeps=100 * k)
     return work, rots, np.sqrt(np.einsum("...mk,...mk->...k", rotated, rotated))
 
 
-def _jacobi_chunks(stack: np.ndarray):
-    """Jacobi-rotate an (N, B, C) stack in chunks of about _CHUNK_FLOATS entries.
-
-    Yields (matrix slice, :func:`_jacobi_factors` of those matrices) per
-    chunk, so the working arrays stay small however many matrices the stack
-    holds.
-    """
-    n_mats, n_rows, n_cols = stack.shape
-    chunk = max(1, _CHUNK_FLOATS // max(1, n_rows * n_cols))
-    for start in range(0, n_mats, chunk):
-        rows = slice(start, start + chunk)
-        yield (rows, *_jacobi_factors(stack[rows]))
+def _groups(stack: np.ndarray, per_matrix: int, limit: int) -> list:
+    """``[...]`` for a (B, C) matrix, one group; for an (N, B, C) stack, consecutive slices of
+    max(1, limit // per_matrix) matrices, so working arrays of per_matrix entries each stay bounded."""
+    if stack.ndim == 2:
+        return [...]
+    size = max(1, limit // max(1, per_matrix))
+    return [slice(first, first + size) for first in range(0, stack.shape[0], size)]
 
 
 def _sorted_factors(
     part: np.ndarray, rots: np.ndarray, sigma: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort the factors of one oriented matrix or chunk by descending singular value.
+    """Sort the factors of one oriented matrix or group by descending singular value.
 
     Returns (sigma, rotations V, left factor A V / sigma) for the oriented
-    matrix or chunk A.  Left columns whose singular value is at or below
+    matrix or group A.  Left columns whose singular value is at or below
     SV_ZERO_TOL * max(1, sigma_0) are zero.
     """
     # Both permutations leave each V column-major, so A V rounds the same
@@ -488,13 +477,11 @@ def svd(P: np.ndarray) -> SvdResult:
 
 
 def _singular_values_stack(stack: np.ndarray) -> np.ndarray:
-    """Descending singular values of a (B, C) matrix or of every matrix in an (N, B, C) stack."""
-    if stack.ndim == 2:
-        sigma = _jacobi_factors(stack)[2]
-    else:
-        sigma = np.empty((stack.shape[0], min(stack.shape[1:])))
-        for rows, _, _, part_sigma in _jacobi_chunks(stack):
-            sigma[rows] = part_sigma
+    """Descending singular values of a (B, C) matrix or of every matrix in an (N, B, C) stack,
+    from one walk over :func:`_groups` of about _CHUNK_FLOATS entries (a lone matrix is one group)."""
+    sigma = np.empty(stack.shape[:-2] + (min(stack.shape[-2:]),))
+    for mats in _groups(stack, stack.shape[-2] * stack.shape[-1], _CHUNK_FLOATS):
+        sigma[mats] = _jacobi_factors(stack[mats])[2]
     return np.sort(sigma, axis=-1)[..., ::-1]
 
 
@@ -519,12 +506,6 @@ def _ms(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | No
     return -_squares_stack(stack) / n_rows, (-2.0 * stack / n_rows if want_grad else None)
 
 
-def _polar(part: np.ndarray, rots: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending singular values and polar factor U V^T of an oriented matrix or chunk."""
-    sigma, rots, left = _sorted_factors(part, rots, sigma)
-    return sigma, np.matmul(_orthonormalize_columns(left), rots.swapaxes(-1, -2))
-
-
 def _bnm(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | bool | None]:
     """Negated nuclear norm per sample of a (B, C) matrix or an (N, B, C) stack
     and, when asked, its gradient and exact flags.
@@ -533,24 +514,25 @@ def _bnm(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | N
     pass as the singular values: U = A V / sigma on the oriented matrix A,
     re-orthonormalized in descending sigma order, since its error grows as
     sigma_0 / sigma.  Columns of U for a vanishing singular value are
-    completed to an orthonormal basis (a subgradient).  A matrix's flag is
-    exact only when consecutive singular values are more than
-    SV_DISTINCT_GAP apart and none is below SV_ZERO_TOL; a matrix gets a
-    bool, a stack an array of them.
+    completed to an orthonormal basis (a subgradient).  Singular values and
+    polar factors come from one walk over :func:`_groups`, a lone matrix
+    being one group.  A matrix's flag is exact only when consecutive
+    singular values are more than SV_DISTINCT_GAP apart and none is below
+    SV_ZERO_TOL; a matrix gets a bool, taken in Python floats, and a stack
+    an array of them.
     """
     n_rows, n_cols = stack.shape[-2:]
     if not want_grad:
         return -_singular_values_stack(stack).sum(axis=-1) / n_rows, None, None
+    sigma = np.empty(stack.shape[:-2] + (min(n_rows, n_cols),))
+    polar = np.empty(stack.shape[:-2] + (max(n_rows, n_cols), min(n_rows, n_cols)))
+    for mats in _groups(stack, n_rows * n_cols, _CHUNK_FLOATS):
+        sigma[mats], rots, left = _sorted_factors(*_jacobi_factors(stack[mats]))
+        polar[mats] = np.matmul(_orthonormalize_columns(left), rots.swapaxes(-1, -2))
     if stack.ndim == 2:
-        sigma, polar = _polar(*_jacobi_factors(stack))
         desc = sigma.tolist()
         exact = desc[-1] > SV_ZERO_TOL and all(a - b > SV_DISTINCT_GAP for a, b in zip(desc, desc[1:]))
     else:
-        n_mats = stack.shape[0]
-        sigma = np.empty((n_mats, min(n_rows, n_cols)))
-        polar = np.empty((n_mats, max(n_rows, n_cols), min(n_rows, n_cols)))
-        for rows, part, rots, part_sigma in _jacobi_chunks(stack):
-            sigma[rows], polar[rows] = _polar(part, rots, part_sigma)
         exact = np.all(-np.diff(sigma, axis=1) > SV_DISTINCT_GAP, axis=1) & (sigma[:, -1] > SV_ZERO_TOL)
     values = -sigma.sum(axis=-1) / n_rows
     return values, -(polar.swapaxes(-1, -2) if n_rows < n_cols else polar) / n_rows, exact
@@ -594,9 +576,10 @@ def _nsm(
     lie above _PAIR_GRAD_FLOOR gets W from a plain ``power``; only a block
     with an overlap at or below it takes the masked ``power``, which leaves
     those weights at 0.  Each block's W @ P lands in its rows of the
-    gradient, which is scaled by 2r once after the loop.  A stack runs in
-    groups of matrices, each matrix with a lone matrix's row blocks, so
-    each row of the result has a lone matrix's bits.
+    gradient, which is scaled by 2r once after the loop.  The pass walks
+    :func:`_groups` of matrices, a lone matrix being one group, and each
+    matrix gets a lone matrix's row blocks, so each row of a stack's result
+    has a lone matrix's bits.
     """
     n_rows = stack.shape[-2]
     squares = _squares_stack(stack)
@@ -609,9 +592,8 @@ def _nsm(
             d_pair = 2.0 * size[..., None, :] - 2.0 * stack
     else:
         # a matrix's row block holds at most _CHUNK_FLOATS overlaps (~512 KB), so per-element
-        # cost is uniform in B; a stack's matrices run in groups whose tile holds at most
-        # _PAIR_TILE overlaps, or one matrix's block if that is larger, so the working arrays
-        # stay bounded however many matrices the stack holds
+        # cost is uniform in B; a group's tile holds at most _PAIR_TILE overlaps, or one
+        # matrix's block if that is larger
         block = max(1, min(n_rows, _CHUNK_FLOATS // max(1, n_rows)))
         pair_sum = np.zeros(stack.shape[:-2])
         with_weights = want_grad and r > 0.0
@@ -619,13 +601,8 @@ def _nsm(
             # every row is written below unless r == 0, where the pair term is flat;
             # C order keeps each block's rows a BLAS-ready matmul output for any input layout
             d_pair = np.empty_like(stack, order="C") if with_weights else np.zeros_like(stack, order="C")
-        if stack.ndim == 2:
-            groups = [...]  # a lone matrix is its own group
-        else:
-            group = max(1, _PAIR_TILE // max(1, block * n_rows))
-            groups = [slice(first, first + group) for first in range(0, stack.shape[0], group)]
         rows = np.arange(n_rows)
-        for mats in groups:
+        for mats in _groups(stack, block * n_rows, _PAIR_TILE):
             part = stack[mats]
             part_sum = pair_sum[mats]  # a view: the sums below land in pair_sum
             trans = part.swapaxes(-1, -2)
@@ -754,13 +731,16 @@ def ns(P: np.ndarray, r: float, alpha: float, epsilon: float) -> float:
     squares / (sum over ordered sample pairs of overlap^r + alpha * squares)
     plus epsilon * squares, with squares = sum_ic P_ic^2 and
     overlap_ij = sum_c P_ic P_jc.  Zero overlaps contribute 0 for every r.
+    ``epsilon`` may be "auto", resolved as :class:`LossConfig` resolves it
+    (0 when P has more rows than columns, 1e-6 otherwise).
     :class:`LossConfig`'s ValueError, naming the field, rejects r outside
     [0, 1], a negative or non-finite alpha or epsilon, and alpha = 0 with
     r > 0.  A denominator below 1e-15 (r = 0 with alpha = 0, or no rows)
     raises ZeroDivisionError.
     """
-    LossConfig("nsm", r=r, alpha=alpha, epsilon=epsilon)
-    return float(_ns_stack(_as_matrix(P), r, alpha, epsilon))
+    cfg = LossConfig("nsm", r=r, alpha=alpha, epsilon=epsilon)
+    arr = _as_matrix(P)
+    return float(_ns_stack(arr, r, alpha, cfg.resolved_epsilon(*arr.shape)))
 
 
 def nsm(P: np.ndarray, r: float, alpha: float, epsilon: float) -> float:

@@ -241,6 +241,7 @@ def verify_theorem_3(
     """
     if not 0.0 < r <= 1.0:
         raise ValueError(f"statement 3 covers 0 < r < 1 (r = 1 descriptive), got r={r}")
+    predicted = list(balanced_sizes(n_rows, n_cols).sizes)  # the shape check at every r, before the enumeration
     comps = _composition_array(n_rows, n_cols, budget)
     exponent = 1.0 - r
     if exponent > 0.0:
@@ -253,7 +254,6 @@ def verify_theorem_3(
     if r == 1.0:
         predicted, verdict = None, "descriptive"
     else:
-        predicted = list(balanced_sizes(n_rows, n_cols).sizes)
         verdict = "pass" if argmax == [predicted] else "fail"
     return TheoremReport(
         theorem=3,

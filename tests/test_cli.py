@@ -131,11 +131,14 @@ class TestVerify:
     @pytest.mark.parametrize(
         "theorem, b, c",
         # theorem 6 at 3 x 1 stops earlier, at its own B <= C check
-        [("4", "0", "3"), ("4", "3", "1"), ("5", "0", "3"), ("5", "3", "1"), ("6", "0", "3")],
+        [("3", "0", "3"), ("3", "3", "1"), ("4", "0", "3"), ("4", "3", "1"), ("5", "0", "3"), ("5", "3", "1"),
+         ("6", "0", "3")],
     )
     def test_bad_shape_is_one_error_line(self, theorem, b, c, tmp_path, capsys):
         out = tmp_path / "t.json"
-        assert run(["verify", "--theorem", theorem, "--b", b, "--c", c, "--out", str(out)]) == 1
+        # theorem 3 at r = 1, its descriptive regime, which names no balanced sizes
+        r = ["--r", "1"] if theorem == "3" else []
+        assert run(["verify", "--theorem", theorem, "--b", b, "--c", c, "--out", str(out)] + r) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: need n_rows >= 1 and n_cols >= 2, got {b}, {c}"]
         assert not out.exists()

@@ -269,8 +269,7 @@ class TestJacobiEngine:
         completion = losses._completion
         monkeypatch.setattr(losses, "_completion", lambda basis: completions.append(1) or completion(basis))
         mat = make(rng, 30, 3)
-        _, part, rots, sigma = next(losses._jacobi_chunks(mat[None]))
-        left = losses._sorted_factors(part, rots, sigma)[2][0]  # (30, 3) left factor
+        left = losses._sorted_factors(*losses._jacobi_factors(mat[None]))[2][0]  # (30, 3) left factor
         alone = losses._orthonormalize_columns(left)
         # each vanishing singular value leaves a zero column, which is completed
         assert len(completions) == 3 - np.linalg.matrix_rank(mat)
@@ -280,8 +279,21 @@ class TestJacobiEngine:
     def test_stack_chunks_match_lapack(self, rng, monkeypatch):
         stack = np.stack([random_matrix(rng, 20, 8) for _ in range(40)])
         whole = losses._singular_values_stack(stack)
+        whole_bnm = losses._bnm(stack, True)
+        whole_nsm = losses._nsm(stack, 0.5, 1.0, 1e-6, True)
         monkeypatch.setattr(losses, "_CHUNK_FLOATS", 3 * 20 * 8)  # 14 chunks, the last one short
+        # 14 groups of the nsm pair pass too; each matrix keeps its one 20-row block (480 // 20 > 20)
+        monkeypatch.setattr(losses, "_PAIR_TILE", 3 * 20 * 20)
+        counts = []
+        groups = losses._groups
+        monkeypatch.setattr(losses, "_groups", lambda *args: counts.append(len(groups(*args))) or groups(*args))
         chunked = losses._singular_values_stack(stack)
+        chunked_bnm = losses._bnm(stack, True)
+        chunked_nsm = losses._nsm(stack, 0.5, 1.0, 1e-6, True)
+        assert counts == [14, 14, 14]
+        assert chunked.tobytes() == whole.tobytes()
+        assert [part.tobytes() for part in chunked_bnm] == [part.tobytes() for part in whole_bnm]
+        assert [part.tobytes() for part in chunked_nsm] == [part.tobytes() for part in whole_nsm]
         expect = np.linalg.svd(stack, compute_uv=False)
         assert np.max(np.abs(whole - expect)) <= 1e-12 and np.max(np.abs(chunked - expect)) <= 1e-12
 
@@ -808,6 +820,9 @@ class TestLossValue:
         cfg = LossConfig("nsm", r=0.5)
         assert loss_value(tall, cfg) == -ns(tall, 0.5, 1.0, 0.0)
         assert loss_value(wide, cfg) == -ns(wide, 0.5, 1.0, 1e-6)
+        # ns resolves "auto" the same way
+        assert ns(tall, 0.5, 1, "auto") == ns(tall, 0.5, 1, 0.0)
+        assert ns(wide, 0.5, 1, "auto") == ns(wide, 0.5, 1, 1e-6) != ns(wide, 0.5, 1, 0.0)
 
 
 class TestPermutationSymmetry:
