@@ -25,6 +25,9 @@ Conventions baked into the formulas, for values and gradients alike:
   classes attain the exact optimum 1/alpha + epsilon*B.  Overlaps at or
   below 1e-300 contribute nothing to the ``ns`` gradient.
 * An ``ns`` denominator below 1e-15 raises ZeroDivisionError.
+* ``ms`` and ``bnm`` divide by B and ``cws`` by C, and raise
+  ZeroDivisionError naming it when it is 0.  An empty matrix has no
+  singular values, so its nuclear norm is 0.
 
 Each of the four losses has one kernel over a (B, C) matrix or an
 (N, B, C) stack that returns the values and, when asked, the gradients; the
@@ -52,9 +55,9 @@ QR (Drmac and Veselic 2008), and each sweep rotates the disjoint column
 pairs of one round-robin round at a time (Brent and Luk 1985) until a sweep
 finds every pair orthogonal to a relative 1e-14.  Single matrices and stacks
 run the same rounds with the same formulas and get the same bits; a lone
-matrix with at most _SCALAR_PAIRS column pairs per round takes its rotation
-parameters as Python floats rather than numpy arrays, which costs less per
-call.  No LAPACK routine is called.
+matrix rotates each round in one row update with its rotation parameters
+as Python floats, which takes far fewer numpy calls than a stack's
+vectorised round.  No LAPACK routine is called.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NoReturn, Union
 
 import numpy as np
 
@@ -81,10 +84,6 @@ SV_ZERO_TOL = 1e-10
 _PAIR_GRAD_FLOOR = 1e-300
 
 _JACOBI_TOL = 1e-14
-# A lone matrix whose rounds hold at most this many column pairs gets its
-# rotation parameters as Python floats: on so few pairs numpy's per-call
-# cost outweighs its vector arithmetic.
-_SCALAR_PAIRS = 4
 # entries per working array when a stack is decomposed group by group
 _CHUNK_FLOATS = 2**16
 # overlaps per tile when the nsm pair pass runs a stack's matrices in groups
@@ -182,13 +181,14 @@ def _column_index(cols: tuple[int, ...]) -> Union[slice, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _round_robin(n: int) -> tuple[tuple[Union[slice, np.ndarray], Union[slice, np.ndarray]], ...]:
+def _round_robin(n: int) -> tuple[tuple, ...]:
     """Brent-Luk round-robin schedule: rounds of disjoint column pairs (i, j), i < j.
 
     Every unordered pair of the n columns occurs in exactly one round.  An
     odd n is padded with a dummy column whose pairs are dropped, so there
     are n - 1 rounds for even n and n rounds for odd n.  Each round is
-    returned as (left, right) column indices.
+    returned as (left, right, pairs, rows): left and right column indices,
+    the (i, j) pairs as ints, and the left columns followed by the right.
     """
     size = n + n % 2
     players = list(range(size))
@@ -198,34 +198,32 @@ def _round_robin(n: int) -> tuple[tuple[Union[slice, np.ndarray], Union[slice, n
         pairs = sorted((min(a, b), max(a, b)) for a, b in half if max(a, b) < n)
         if pairs:
             left, right = zip(*pairs)
-            rounds.append((_column_index(left), _column_index(right)))
+            rounds.append((_column_index(left), _column_index(right), tuple(pairs), _column_index(left + right)))
         players = [players[0], players[-1]] + players[1:-1]
     return tuple(rounds)
 
 
-@functools.lru_cache(maxsize=None)
-def _round_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The rounds of :func:`_round_robin` as (i, j) integer pairs."""
-    cols = np.arange(n)
-    return tuple(tuple(zip(cols[left].tolist(), cols[right].tolist())) for left, right in _round_robin(n))
-
-
 def _rotate_lone_round(
-    work: np.ndarray, norms: list[float], pairs: tuple[tuple[int, int], ...], ab: list[float], floor: float
+    work: np.ndarray, m: int, norms: list[float], pairs: tuple, rows: Union[slice, np.ndarray], floor: float
 ) -> bool:
-    """One round of a lone matrix's sweep, with the rotation parameters as Python floats.
+    """One round of a lone matrix's sweep, all pairs at once, with the rotation parameters as Python floats.
 
     ``work`` is the matrix's (n, m + n) working array and ``norms`` its
-    column norms, both updated in place; ``ab`` holds the pairs' inner
-    products.  Returns whether any pair needed a rotation.  Each step is the
-    vectorised round's, in the same order, so the bits are the same: float
+    column norms, both updated in place.  Returns whether any pair needed a
+    rotation.  The round's ``rows`` are read once for one ``einsum`` of the
+    inner products and rotated in one update with C = [c; c], S = [-s; s].
+    Each step is the vectorised round's, so the bits are the same: float
     ``+ - * /``, ``sqrt``, ``abs`` and ``copysign`` round alike in Python
-    and numpy, but ``c`` comes from numpy's power, which Python's ``**``
-    misses in the last bit in about 6 % of cases.  When one pair needs a
-    rotation, the others of the round get the identity (c = 1, s = 0), as in
-    the vectorised round, which keeps the signs of zero entries alike.
+    and numpy, c x + (-s) y and c y + s x round as c x - s y and s x + c y,
+    and ``c`` comes from numpy's power, which Python's ``**`` misses in the
+    last bit in about 6 % of cases.  When one pair needs a rotation, the
+    others get the identity (c = 1, s = 0), as in the vectorised round,
+    which keeps the signs of zero entries alike.
     """
-    steps = []
+    half = len(pairs)
+    xy = work[rows]  # left rows over right rows: a view for a slice, a copy for an index array
+    ab = np.einsum("npm,npm->np", xy[None, :half, :m], xy[None, half:, :m])[0].tolist()
+    ts = []
     rotated = False
     for (i, j), prod in zip(pairs, ab):
         aa, bb = norms[i], norms[j]
@@ -234,17 +232,24 @@ def _rotate_lone_round(
             rotated = True
             zeta = (bb - aa) / (2.0 * prod)
             t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
-            c = (np.array([1.0 + t * t]) ** -0.5).item()
-            steps.append((i, j, c, c * t))
-            t *= prod
-            norms[i] = max(aa - t, 0.0)
-            norms[j] = max(bb + t, 0.0)
+            ts.append(t)
+            t *= prod  # closed-form norm updates aa - t ab and bb + t ab, clamped as np.maximum clamps
+            aa -= t
+            bb += t
+            norms[i] = 0.0 if aa <= 0.0 else aa
+            norms[j] = 0.0 if bb <= 0.0 else bb
         else:
-            steps.append((i, j, 1.0, 0.0))
-    if rotated:
-        for i, j, c, s in steps:
-            rows = work[i : j + 1 : j - i]  # rows i and j
-            rows[...] = c * rows + np.array([[-s], [s]]) * rows[::-1]
+            ts.append(0.0)
+    if rotated and half == 1:  # rows i and j, a view, rotated in place by scalars: cheaper than arrays
+        c = (np.array([1.0 + ts[0] * ts[0]]) ** -0.5).item()
+        turned = xy[::-1] * np.array([[-c * ts[0]], [c * ts[0]]])
+        xy *= c
+        xy += turned
+    elif rotated:  # C = [c; c] from one power over [1 + t^2; 1 + t^2], and S = C [-t; t] = [-s; s]
+        C = (np.array([1.0 + t * t for t in ts] * 2) ** -0.5).reshape(2, half, 1)
+        S = C * np.array([-t for t in ts] + ts).reshape(2, half, 1)
+        xy = xy.reshape(2, half, -1)
+        work[rows] = (C * xy + S * xy[::-1]).reshape(2 * half, -1)
     return rotated
 
 
@@ -256,9 +261,10 @@ def _jacobi_orthogonalize(mats: np.ndarray, max_sweeps: int) -> tuple[np.ndarray
     A sweep runs the round-robin rounds in order and rotates all pairs of a
     round at once, so the computation is deterministic.  Column norms are
     computed once per sweep and updated in closed form after each rotation,
-    leaving one inner product per pair and round.  A lone matrix with at
-    most _SCALAR_PAIRS pairs per round gets the same rotations, bit for bit,
-    from Python floats (:func:`_rotate_lone_round`).
+    leaving one inner product per pair and round.  A lone matrix rotates
+    each round with Python-float parameters (:func:`_rotate_lone_round`), a
+    stack with the vectorised round, to the same bits.  A matrix with fewer
+    than two columns has no pair to rotate and returns after 0 sweeps.
     """
     lone_input = mats.ndim == 2
     if lone_input:
@@ -273,26 +279,16 @@ def _jacobi_orthogonalize(mats: np.ndarray, max_sweeps: int) -> tuple[np.ndarray
     # Rotation-invariant scale; inner products below this floor belong to
     # numerically-zero columns and are skipped (also keeps zeta finite).
     floor = 1e-32 * norms.sum(axis=1, keepdims=True)
-    lone = n_mats == 1 and n // 2 <= _SCALAR_PAIRS
-    rounds = _round_robin(n)
-    lone_views = [None] * len(rounds)
+    lone = n_mats == 1
     if lone:
         floor, lone_work = floor.item(), work[0]
-        # A round whose columns are two slices reads views of work, taken
-        # once here; index arrays gather copies, which go stale after the round.
-        lone_views = [
-            (work[:, left][:, :, :m], work[:, right][:, :, :m])
-            if isinstance(left, slice) and isinstance(right, slice) else None
-            for left, right in rounds
-        ]
-    for sweep in range(1, max_sweeps + 1):
+    rounds = _round_robin(n)
+    for sweep in range(1 if rounds else 0, max_sweeps + 1):  # no column pair: done at sweep 0
         rotated = False
         lone_norms = norms[0].tolist() if lone else None
-        for (left, right), pairs, lone_view in zip(rounds, _round_pairs(n), lone_views):
+        for left, right, pairs, rows in rounds:
             if lone:
-                x_cols, y_cols = lone_view or (work[:, left][:, :, :m], work[:, right][:, :, :m])
-                ab = np.einsum("npm,npm->np", x_cols, y_cols)
-                rotated |= _rotate_lone_round(lone_work, lone_norms, pairs, ab[0].tolist(), floor)
+                rotated |= _rotate_lone_round(lone_work, m, lone_norms, pairs, rows, floor)
                 continue
             x = work[:, left]
             y = work[:, right]
@@ -501,8 +497,12 @@ def _equity_stack(stack: np.ndarray) -> np.ndarray:
     return 1.0 - np.abs(share - 1.0 / n_cols).sum(axis=-1)
 
 
+def _divides_by_zero(loss: str, dim: str) -> NoReturn:
+    raise ZeroDivisionError(f"{loss} divides by {dim} = 0")
+
+
 def _ms(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    n_rows = stack.shape[-2]
+    n_rows = stack.shape[-2] or _divides_by_zero("ms", "B")
     return -_squares_stack(stack) / n_rows, (-2.0 * stack / n_rows if want_grad else None)
 
 
@@ -518,10 +518,10 @@ def _bnm(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | N
     polar factors come from one walk over :func:`_groups`, a lone matrix
     being one group.  A matrix's flag is exact only when consecutive
     singular values are more than SV_DISTINCT_GAP apart and none is below
-    SV_ZERO_TOL; a matrix gets a bool, taken in Python floats, and a stack
-    an array of them.
+    SV_ZERO_TOL, vacuously so without columns; a matrix gets a bool, taken
+    in Python floats, and a stack an array of them.
     """
-    n_rows, n_cols = stack.shape[-2:]
+    n_rows, n_cols = stack.shape[-2] or _divides_by_zero("bnm", "B"), stack.shape[-1]
     if not want_grad:
         return -_singular_values_stack(stack).sum(axis=-1) / n_rows, None, None
     sigma = np.empty(stack.shape[:-2] + (min(n_rows, n_cols),))
@@ -531,16 +531,16 @@ def _bnm(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | N
         polar[mats] = np.matmul(_orthonormalize_columns(left), rots.swapaxes(-1, -2))
     if stack.ndim == 2:
         desc = sigma.tolist()
-        exact = desc[-1] > SV_ZERO_TOL and all(a - b > SV_DISTINCT_GAP for a, b in zip(desc, desc[1:]))
+        exact = all(a > SV_ZERO_TOL for a in desc[-1:]) and all(a - b > SV_DISTINCT_GAP for a, b in zip(desc, desc[1:]))
     else:
-        exact = np.all(-np.diff(sigma, axis=1) > SV_DISTINCT_GAP, axis=1) & (sigma[:, -1] > SV_ZERO_TOL)
+        exact = np.all(-np.diff(sigma, axis=1) > SV_DISTINCT_GAP, axis=1) & np.all(sigma[:, -1:] > SV_ZERO_TOL, axis=1)
     values = -sigma.sum(axis=-1) / n_rows
     return values, -(polar.swapaxes(-1, -2) if n_rows < n_cols else polar) / n_rows, exact
 
 
 def _cwsm(stack: np.ndarray, r: float, want_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Negated class weighted squares of a (..., B, C) array and, when asked, its gradient."""
-    n_cols = stack.shape[-1]
+    n_cols = stack.shape[-1] or _divides_by_zero("cwsm", "C")
     sq_mass = np.einsum("...bc,...bc->...c", stack, stack)
     size = stack.sum(axis=-2)
     if size.size and size.min() > 0.0:

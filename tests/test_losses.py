@@ -189,7 +189,7 @@ class TestJacobiEngine:
         rounds = losses._round_robin(n)
         assert len(rounds) == (n - 1 if n % 2 == 0 else n) * (n > 1)
         seen = []
-        for left, right in rounds:
+        for left, right, _, _ in rounds:
             left, right = np.arange(n)[left], np.arange(n)[right]
             assert left.size == right.size >= 1
             assert np.all(left < right)
@@ -224,14 +224,29 @@ class TestJacobiEngine:
         a, b = svd(mat), svd(mat)
         assert np.array_equal(a.u, b.u) and np.array_equal(a.s, b.s) and np.array_equal(a.v, b.v)
 
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_round_table_rows_are_left_then_right_columns(self, n):
+        seen = []
+        for left, right, pairs, rows in losses._round_robin(n):
+            i, j = zip(*pairs)
+            assert np.arange(n)[left].tolist() == list(i) and np.arange(n)[right].tolist() == list(j)
+            assert np.arange(n)[rows].tolist() == list(i + j)
+            steps = set(np.diff(i + j).tolist())
+            assert isinstance(rows, slice) == (len(steps) == 1)  # a view wherever the rows allow one
+            seen += pairs
+        assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]  # each pair once a sweep
+
     @pytest.mark.parametrize(
-        "shape", [(30, 2), (30, 3), (100, 3), (3, 30), (30, 4), (30, 9), (4, 10), (12, 10)], ids=lambda s: "%dx%d" % s
+        "shape",
+        [(30, 2), (30, 3), (100, 3), (3, 30), (30, 4), (30, 9), (4, 10), (12, 10), (40, 12), (64, 20), (33, 31)],
+        ids=lambda s: "%dx%d" % s,
     )
     @pytest.mark.parametrize("make", [random_matrix, _zero_column, _duplicate_columns, _rank_one])
     def test_lone_rounds_match_stack_rounds_bit_for_bit(self, rng, monkeypatch, shape, make):
-        # a lone matrix with at most _SCALAR_PAIRS pairs per round is rotated
-        # with Python-float parameters, a stack with the vectorised rounds;
-        # n = 10 (5 pairs) is the first size past that limit
+        # a lone matrix rotates each round with Python-float parameters, a
+        # stack with the vectorised rounds; a round's rows are a slice for one
+        # pair (n <= 3) and in one round each at n = 4 and n = 5, and an index
+        # array in every round from n = 6 up to the 16 pairs of 33x31
         lone_rounds = []
         lone_round = losses._rotate_lone_round
         monkeypatch.setattr(losses, "_rotate_lone_round", lambda *a: lone_rounds.append(1) or lone_round(*a))
@@ -240,7 +255,7 @@ class TestJacobiEngine:
         n = oriented.shape[1]
         alone = oriented[None].copy()
         rots, sweeps = losses._jacobi_orthogonalize(alone, max_sweeps=100 * n)
-        assert bool(lone_rounds) == (n // 2 <= losses._SCALAR_PAIRS) == (n < 10)
+        assert len(lone_rounds) == sweeps * len(losses._round_robin(n))  # every round of every sweep
         lone_rounds.clear()
         pair = np.stack([oriented, oriented])
         pair_rots, pair_sweeps = losses._jacobi_orthogonalize(pair, max_sweeps=100 * n)
@@ -447,7 +462,7 @@ class TestBnmKernel:
     def test_matrix_matches_row_of_a_stack_bit_for_bit(self, rng, monkeypatch, shape, make):
         # a single matrix goes through the chain as 2-D arrays, a stack as
         # 3-D ones; 40x6 and 30x10 take the Householder reduction, 30x10
-        # then the vectorised Jacobi rounds
+        # then Jacobi rounds of five pairs
         householder = []
         householder_r = losses._householder_r
         monkeypatch.setattr(losses, "_householder_r", lambda a: householder.append(a.ndim) or householder_r(a))
@@ -850,6 +865,35 @@ class TestPermutationSymmetry:
             mat = random_matrix(rng, 5, 3)
             rows = rng.permutation(5)
             assert np.allclose(gradient(mat[rows], cfg).grad, gradient(mat, cfg).grad[rows], atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)], ids=["no rows", "no columns"])
+@pytest.mark.parametrize("kind", ["ms", "bnm", "cwsm", "nsm", "nuclear_norm"])
+def test_empty_matrices_follow_one_rule(kind, shape):
+    # a loss raises ZeroDivisionError naming what it divides by exactly when
+    # that is 0 (B for ms and bnm, C for cwsm, the denominator for nsm) and
+    # has a value otherwise; a matrix without column pairs needs no sweep and
+    # has no singular values; no warning escapes
+    P = np.zeros(shape)
+    if kind == "nuclear_norm":
+        assert nuclear_norm(P) == 0.0 and losses._singular_values_stack(P).shape == (0,)
+        return
+    value = {"ms": ms, "bnm": bnm, "cwsm": lambda P: cwsm(P, 0.5), "nsm": lambda P: nsm(P, 0.5, 1.0, 0.0)}[kind]
+    cfg = LossConfig(kind)
+    divisor = {"ms": "B", "bnm": "B", "cwsm": "C"}.get(kind)
+    if kind == "nsm":
+        error = r"^normalized-squares denominator 0\.0 below 1e-15$"
+    elif shape["BC".index(divisor)] == 0:
+        error = f"^{kind} divides by {divisor} = 0$"
+    else:
+        assert value(P) == loss_value(P, cfg) == 0.0
+        out = losses.gradient(P, cfg)
+        assert out.value == 0.0 and out.grad.shape == shape and out.exact is True
+        return
+    for call in (lambda: value(P), lambda: loss_value(P, cfg), lambda: losses.gradient(P, cfg)):
+        with pytest.raises(ZeroDivisionError, match=error):
+            call()
 
 
 def test_convergence_error_is_reported():
