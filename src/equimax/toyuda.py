@@ -11,9 +11,10 @@ target term: with lam = 0 every loss kind trains bit-identically.
 
 Each epoch gathers its target batch rows once, and each source reshuffle its
 source rows and one-hot labels once; a step slices its batches from those.
-The target predictions at the end of each epoch are buffered, and the
-buffered epochs are scored together, one stacked kernel call per metric,
-with the same bits as scoring each epoch alone.
+Each step and each epoch end runs one in-place softmax over a buffer holding
+the source and then the target logits.  The epoch-end target predictions are
+buffered and scored together, one stacked kernel call per metric, with the
+same bits as scoring each epoch alone.
 
 Data are isotropic Gaussian blobs.  Class centers sit at the vertices of a
 regular simplex (pairwise equidistant, so no class is geometrically
@@ -101,6 +102,11 @@ class ToyUdaConfig:
             raise ValueError("noise_scale must be > 0")
         if not 1 <= self.batch_size <= sum(self.target_counts):
             raise ValueError("batch_size must be in [1, total target count]")
+        if self.batch_size > self.classes * self.source_per_class:
+            raise ValueError(
+                f"batch_size {self.batch_size} exceeds the source total"
+                f" classes * source_per_class = {self.classes * self.source_per_class}"
+            )
         if self.epochs < 1 or self.learning_rate <= 0.0:
             raise ValueError("epochs and learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:
@@ -231,9 +237,15 @@ def _generate(rng: np.random.Generator, config: ToyUdaConfig):
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax: the in-place ``_softmax_rows`` that train runs, applied to a float copy."""
+    return _softmax_rows(np.array(logits, dtype=float))
+
+
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def _step(
@@ -248,21 +260,32 @@ def _step(
 
     ``onehot_src`` holds the source labels as one-hot rows.  The gradients
     are those of :func:`objective_and_gradients`, which adds the source
-    cross-entropy that the training loop does not need.
+    cross-entropy that the training loop does not need.  With lam > 0 the
+    source and target logits share one buffer and one in-place softmax.
     """
-    probs_src = softmax(x_src @ weights + bias)
+    n_src = x_src.shape[0]
+    if loss_cfg.lam > 0.0:
+        probs = np.empty((n_src + x_tgt.shape[0], weights.shape[1]))
+        np.matmul(x_src, weights, out=probs[:n_src])
+        np.matmul(x_tgt, weights, out=probs[n_src:])
+    else:
+        probs = x_src @ weights
+    probs += bias
+    probs_src = _softmax_rows(probs)[:n_src]
     # p - 1 at the label and p - 0 elsewhere: the same bits as subtracting 1 in place
     delta = probs_src - onehot_src
-    delta /= x_src.shape[0]
+    delta /= n_src
     grad_w = x_src.T @ delta
     grad_b = delta.sum(axis=0)
     lt = 0.0
     if loss_cfg.lam > 0.0:
-        probs_tgt = softmax(x_tgt @ weights + bias)
+        probs_tgt = probs[n_src:]
         out = gradient(probs_tgt, loss_cfg)
         lt = out.value
-        inner = (out.grad * probs_tgt).sum(axis=1, keepdims=True)
-        delta_t = probs_tgt * (out.grad - inner) * loss_cfg.lam
+        delta_t = out.grad  # p * (g - <g, p>) * lam, built in the gradient's own array
+        delta_t -= (delta_t * probs_tgt).sum(axis=1, keepdims=True)
+        delta_t *= probs_tgt
+        delta_t *= loss_cfg.lam
         grad_w += x_tgt.T @ delta_t
         grad_b += delta_t.sum(axis=0)
     return probs_src, lt, grad_w, grad_b
@@ -309,11 +332,13 @@ def train(config: ToyUdaConfig) -> ToyUdaResult:
     xs, ys, xt, yt = _generate(data_rng, config)
     n_src, n_tgt = xs.shape[0], xt.shape[0]
     onehot = np.eye(config.classes)[ys]
+    label_at = np.arange(n_src) * config.classes + ys  # flat index of each source label's entry
     size = config.batch_size
     weights = np.zeros((config.features, config.classes))
     bias = np.zeros(config.classes)
     vel_w = np.zeros_like(weights)
     vel_b = np.zeros_like(bias)
+    epoch_probs = np.empty((n_src + n_tgt, config.classes))  # source then target rows at an epoch's end
     steps = -(-n_tgt // config.batch_size)
     ce_hist = np.empty(config.epochs)
     lt_hist = np.empty(config.epochs)
@@ -348,13 +373,17 @@ def train(config: ToyUdaConfig) -> ToyUdaResult:
                 _, _, grad_w, grad_b = _step(
                     weights, bias, xs_perm[src], onehot_perm[src], xt_epoch[k * size : (k + 1) * size], config.loss
                 )
-                vel_w = config.momentum * vel_w - config.learning_rate * grad_w
-                vel_b = config.momentum * vel_b - config.learning_rate * grad_b
-                weights = weights + vel_w
-                bias = bias + vel_b
-            probs_src = softmax(xs @ weights + bias)
+                for vel, grad, param in ((vel_w, grad_w, weights), (vel_b, grad_b, bias)):
+                    vel *= config.momentum
+                    grad *= config.learning_rate
+                    vel -= grad
+                    param += vel
+            np.matmul(xs, weights, out=epoch_probs[:n_src])
+            np.matmul(xt, weights, out=epoch_probs[n_src:])
+            epoch_probs += bias
+            _softmax_rows(epoch_probs)
             with np.errstate(divide="ignore"):
-                ce = float(-np.log(probs_src[np.arange(n_src), ys]).mean())
+                ce = float(-np.log(epoch_probs.ravel()[label_at]).mean())
             if not np.isfinite(ce) or ce > DIVERGENCE_CE:
                 raise TrainingDivergedError(
                     f"epoch {epoch}: source cross-entropy {ce!r} exceeds {DIVERGENCE_CE}"
@@ -363,7 +392,7 @@ def train(config: ToyUdaConfig) -> ToyUdaResult:
             score(epoch)
             raise
         ce_hist[epoch] = ce
-        pending[filled] = softmax(xt @ weights + bias)
+        pending[filled] = epoch_probs[n_src:]
         filled += 1
         if filled == len(pending):
             score(epoch + 1)

@@ -134,6 +134,7 @@ class TestConfig:
             {"noise_scale": 0.0},
             {"batch_size": 0},
             {"batch_size": 1000},
+            {"source_per_class": 1, "batch_size": 10},
             {"learning_rate": 0.0},
             {"momentum": 1.0},
         ],
@@ -334,9 +335,12 @@ class TestTrain:
 
     # flushes every 3 epochs: 4 flushes of SMALL's 12 epochs, 3 of WRAPPING's 8
     @pytest.mark.parametrize("flush_epochs", [None, 3], ids=["one_flush", "flush3"])
-    @pytest.mark.parametrize("base", [SMALL, WRAPPING], ids=["batch10", "batch32"])
+    # batch2: 3 classes in target batches of 2 rows, so epsilon resolves to 1e-6
+    @pytest.mark.parametrize(
+        "base", [SMALL, WRAPPING, replace(SMALL, batch_size=2)], ids=["batch10", "batch32", "batch2"]
+    )
     @pytest.mark.parametrize("momentum, rate", [(0.0, 0.1), (0.9, 0.02)], ids=["plain", "momentum"])
-    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_same_bytes_as_the_reference_loop(self, monkeypatch, kind, lam, momentum, rate, base, flush_epochs):
         # no golden hash: exp, log and power bits follow the CPU's SIMD dispatch
@@ -401,6 +405,8 @@ class TestTrain:
             monkeypatch.setattr(toyuda, "gradient", failing_step)
         with pytest.raises(ZeroDivisionError, match="^scoring$"):
             train(cfg)
+        if later == "step":
+            assert len(steps) > 3  # the injected step failure fired
 
     def test_momentum_variant_runs(self):
         res = train(replace(SMALL, momentum=0.9, learning_rate=0.02))
