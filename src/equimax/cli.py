@@ -90,9 +90,8 @@ def _theorem_summary(rep: oracle.TheoremReport) -> str:
 
 
 def _cmd_verify(args) -> int:
-    eps = LossConfig("nsm", r=args.r, alpha=args.alpha, epsilon=args.epsilon).resolved_epsilon(
-        args.b, args.c
-    )
+    # each statement checks the parameters it uses; only epsilon needs resolving here
+    eps = LossConfig("nsm", epsilon=args.epsilon).resolved_epsilon(args.b, args.c)
     if args.theorem == "all":
         reports = oracle.verify_all(
             args.b, args.c, r=args.r, alpha=args.alpha, epsilon=eps, seed=args.seed, trials=args.trials
@@ -110,8 +109,7 @@ def _cmd_verify(args) -> int:
                 args.b, args.c, args.alpha, eps, seed=args.seed, theorem_id=num
             )
         else:
-            eps6 = eps if eps > 0 else 1e-6
-            rep = oracle.verify_theorem_6(args.b, args.c, args.r, args.alpha, eps6, seed=args.seed)
+            rep = oracle.verify_theorem_6(args.b, args.c, args.r, args.alpha, eps, seed=args.seed)
         reports = [rep]
     probmat.write_json(args.out, [r.to_dict() for r in reports] if args.theorem == "all" else rep.to_dict())
     for rep in reports:

@@ -402,7 +402,9 @@ def verify_all(
     """Run every statement check at one (B, C) and parameter set.
 
     ``epsilon=None`` resolves like the losses' "auto": 0 when B > C, else
-    1e-6.  Statement 6 is emitted as "skipped" when B > C.
+    1e-6.  Statement 6 is emitted as "skipped" when B > C.  It needs
+    epsilon > 0, so at epsilon = 0 it runs at 1e-6 while statements 4 and 5
+    run at 0; a lone ``verify_theorem_6`` call rejects epsilon = 0 instead.
     """
     if epsilon is None:
         epsilon = LossConfig("nsm").resolved_epsilon(n_rows, n_cols)

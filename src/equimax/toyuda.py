@@ -9,12 +9,13 @@ softmax outputs of an unlabeled, distribution-shifted target batch.  The
 linear model keeps runs under a second and isolates the effect of the
 target term: with lam = 0 every loss kind trains bit-identically.
 
-Each epoch gathers its target batch rows once, and each source reshuffle its
-source rows and one-hot labels once; a step slices its batches from those.
-Each step and each epoch end runs one in-place softmax over a buffer holding
-the source and then the target logits.  The epoch-end target predictions are
-buffered and scored together, one stacked kernel call per metric, with the
-same bits as scoring each epoch alone.
+Every step is one call of :func:`objective_and_gradients`, the module's one
+step function.  Each epoch gathers its target batch rows once, and each
+source reshuffle its source rows and one-hot labels once; a step slices its
+batches from those.  Each step and each epoch end runs one in-place softmax
+over a buffer holding the source and then the target logits.  The epoch-end
+target predictions are buffered and scored together, one stacked kernel call
+per metric, with the same bits as scoring each epoch alone.
 
 Data are isotropic Gaussian blobs.  Class centers sit at the vertices of a
 regular simplex (pairwise equidistant, so no class is geometrically
@@ -217,28 +218,14 @@ def _rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
 
 
 def _generate(rng: np.random.Generator, config: ToyUdaConfig):
+    """Source then target points, each domain drawn in one call, class by class in row order."""
     centers = class_centers(config.classes, config.features, config.center_spread)
-    shift = config.resolved_shift()
-    xs, ys, xt, yt = [], [], [], []
-    for c in range(config.classes):
-        pts = centers[c] + config.noise_scale * rng.standard_normal(
-            (config.source_per_class, config.features)
-        )
-        xs.append(pts)
-        ys.append(np.full(config.source_per_class, c, dtype=int))
-    for c in range(config.classes):
-        count = config.target_counts[c]
-        pts = centers[c] + shift + config.noise_scale * rng.standard_normal(
-            (count, config.features)
-        )
-        xt.append(pts)
-        yt.append(np.full(count, c, dtype=int))
-    return np.vstack(xs), np.concatenate(ys), np.vstack(xt), np.concatenate(yt)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row softmax: the in-place ``_softmax_rows`` that train runs, applied to a float copy."""
-    return _softmax_rows(np.array(logits, dtype=float))
+    ys = np.repeat(np.arange(config.classes), config.source_per_class)
+    yt = np.repeat(np.arange(config.classes), config.target_counts)
+    noise = config.noise_scale
+    xs = centers[ys] + noise * rng.standard_normal((ys.size, config.features))
+    xt = centers[yt] + config.resolved_shift() + noise * rng.standard_normal((yt.size, config.features))
+    return xs, ys, xt, yt
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -248,7 +235,7 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _step(
+def objective_and_gradients(
     weights: np.ndarray,
     bias: np.ndarray,
     x_src: np.ndarray,
@@ -256,12 +243,13 @@ def _step(
     x_tgt: np.ndarray,
     loss_cfg: LossConfig,
 ):
-    """Source probabilities, target loss value and the parameter gradients of one step.
+    """One training step: source probabilities, target loss and the (d x C, C) gradients.
 
-    ``onehot_src`` holds the source labels as one-hot rows.  The gradients
-    are those of :func:`objective_and_gradients`, which adds the source
-    cross-entropy that the training loop does not need.  With lam > 0 the
-    source and target logits share one buffer and one in-place softmax.
+    The gradients are those of mean cross-entropy(source) + lam * target
+    loss, with the target-loss gradient propagated through the softmax in
+    closed form; with lam = 0 the target term contributes nothing.
+    ``onehot_src`` holds the source labels as one-hot rows.  With lam > 0
+    the source and target logits share one buffer and one in-place softmax.
     """
     n_src = x_src.shape[0]
     if loss_cfg.lam > 0.0:
@@ -289,27 +277,6 @@ def _step(
         grad_w += x_tgt.T @ delta_t
         grad_b += delta_t.sum(axis=0)
     return probs_src, lt, grad_w, grad_b
-
-
-def objective_and_gradients(
-    weights: np.ndarray,
-    bias: np.ndarray,
-    x_src: np.ndarray,
-    y_src: np.ndarray,
-    x_tgt: np.ndarray,
-    loss_cfg: LossConfig,
-):
-    """Value and (d x C, C) parameter gradients of CE + lam * target loss.
-
-    Returns (total, source cross-entropy, target loss, grad_w, grad_b).
-    The target-loss gradient is propagated through the softmax in closed
-    form; with lam = 0 the target term contributes nothing.
-    """
-    onehot_src = np.eye(weights.shape[1])[y_src]
-    probs_src, lt, grad_w, grad_b = _step(weights, bias, x_src, onehot_src, x_tgt, loss_cfg)
-    n_src = x_src.shape[0]
-    ce = float(-np.log(np.maximum(probs_src[np.arange(n_src), y_src], 1e-300)).mean())
-    return ce + loss_cfg.lam * lt, ce, lt, grad_w, grad_b
 
 
 def train(config: ToyUdaConfig) -> ToyUdaResult:
@@ -370,7 +337,7 @@ def train(config: ToyUdaConfig) -> ToyUdaResult:
                     src_cursor = 0
                 src = slice(src_cursor, src_cursor + size)
                 src_cursor += size
-                _, _, grad_w, grad_b = _step(
+                _, _, grad_w, grad_b = objective_and_gradients(
                     weights, bias, xs_perm[src], onehot_perm[src], xt_epoch[k * size : (k + 1) * size], config.loss
                 )
                 for vel, grad, param in ((vel_w, grad_w, weights), (vel_b, grad_b, bias)):

@@ -118,6 +118,20 @@ class TestVerify:
         assert run(["verify", "--theorem", "6", "--b", "4", "--c", "2", "--out", str(tmp_path / "x.json")]) == 1
         assert "B <= C" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theorem", ["1", "3"])
+    def test_ignores_alpha_the_statement_does_not_use(self, theorem, tmp_path):
+        # alpha = 0 with the default r would make an ill-posed nsm loss, which statements 1 and 3 never build
+        out = tmp_path / "t.json"
+        assert run(["verify", "--theorem", theorem, "--b", "3", "--c", "3", "--alpha", "0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["verdict"] == "pass"
+
+    def test_theorem_6_rejects_epsilon_zero(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert run(["verify", "--theorem", "6", "--b", "3", "--c", "3", "--epsilon", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: statement 6 requires epsilon > 0, got 0.0"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("theorem", ["2", "all"])
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_trials_below_one_is_one_error_line(self, theorem, trials, tmp_path, capsys):

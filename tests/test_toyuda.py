@@ -23,7 +23,6 @@ from equimax.toyuda import (
     TrainingDivergedError,
     class_centers,
     objective_and_gradients,
-    softmax,
     train,
 )
 
@@ -32,16 +31,35 @@ from conftest import fd_gradient
 SMALL = ToyUdaConfig(epochs=12, source_per_class=30, target_counts=(18, 9, 3), batch_size=10)
 
 
+def softmax(z):
+    """Row softmax of a float copy of ``z``, by the formula train runs in place."""
+    return toyuda._softmax_rows(np.array(z, dtype=float))
+
+
 def generate(cfg):
     """The (xs, ys, xt, yt) data ``train(cfg)`` draws from its seed."""
     return toyuda._generate(toyuda._rngs(cfg.seed)[0], cfg)
 
 
-def reference_objective(weights, bias, x_src, y_src, x_tgt, loss_cfg):
-    """One step's objective as first written: a copy with the labels' 1 subtracted in place."""
+def reference_generate(rng, config):
+    """The data draw as first written: one standard-normal call per class and domain."""
+    centers = class_centers(config.classes, config.features, config.center_spread)
+    shift = config.resolved_shift()
+    xs, ys, xt, yt = [], [], [], []
+    for c in range(config.classes):
+        xs.append(centers[c] + config.noise_scale * rng.standard_normal((config.source_per_class, config.features)))
+        ys.append(np.full(config.source_per_class, c, dtype=int))
+    for c in range(config.classes):
+        count = config.target_counts[c]
+        xt.append(centers[c] + shift + config.noise_scale * rng.standard_normal((count, config.features)))
+        yt.append(np.full(count, c, dtype=int))
+    return np.vstack(xs), np.concatenate(ys), np.vstack(xt), np.concatenate(yt)
+
+
+def reference_step(weights, bias, x_src, y_src, x_tgt, loss_cfg):
+    """One step as first written: a copy with the labels' 1 subtracted in place, two softmaxes."""
     probs_src = softmax(x_src @ weights + bias)
     n_src = x_src.shape[0]
-    ce = float(-np.log(np.maximum(probs_src[np.arange(n_src), y_src], 1e-300)).mean())
     delta = probs_src.copy()
     delta[np.arange(n_src), y_src] -= 1.0
     delta /= n_src
@@ -56,7 +74,7 @@ def reference_objective(weights, bias, x_src, y_src, x_tgt, loss_cfg):
         delta_t = probs_tgt * (out.grad - inner) * loss_cfg.lam
         grad_w += x_tgt.T @ delta_t
         grad_b += delta_t.sum(axis=0)
-    return ce + loss_cfg.lam * lt, ce, lt, grad_w, grad_b
+    return probs_src, lt, grad_w, grad_b
 
 
 def reference_train(config):
@@ -81,7 +99,7 @@ def reference_train(config):
                 src_cursor = 0
             src_idx = perm_src[src_cursor : src_cursor + config.batch_size]
             src_cursor += config.batch_size
-            _, _, _, grad_w, grad_b = reference_objective(
+            _, _, grad_w, grad_b = reference_step(
                 weights, bias, xs[src_idx], ys[src_idx], xt[tgt_idx], config.loss
             )
             vel_w = config.momentum * vel_w - config.learning_rate * grad_w
@@ -236,6 +254,32 @@ class TestGenerate:
             gap = xt[yt == c].mean(axis=0) - xs[ys == c].mean(axis=0)
             assert abs(gap[0] - 5.0) < 0.7 and abs(gap[1]) < 0.7
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ToyUdaConfig(classes=2, source_per_class=7, target_counts=(9, 2), batch_size=2),
+            SMALL,
+            ToyUdaConfig(source_per_class=1, target_counts=(5, 1, 2), batch_size=3, seed=11),
+            ToyUdaConfig(
+                classes=4, features=3, source_per_class=5, target_counts=(1, 8, 3, 6),
+                shift=(0.5, -1.0, 2.0), batch_size=4, seed=7,
+            ),
+            ToyUdaConfig(
+                classes=5, features=6, source_per_class=1, target_counts=(2, 7, 1, 1, 4),
+                shift=(0.0, 3.0, -0.25, 1.0, 0.0, -2.0), noise_scale=1.3, batch_size=5, seed=3,
+            ),
+        ],
+        ids=["c2", "c3_small", "c3_one_source", "c4_shift", "c5_one_source_shift"],
+    )
+    def test_same_bytes_as_the_per_class_draw(self, cfg):
+        xs, ys, xt, yt = generate(cfg)
+        want_xs, want_ys, want_xt, want_yt = reference_generate(toyuda._rngs(cfg.seed)[0], cfg)
+        assert xs.tobytes() == want_xs.tobytes() and xs.shape == want_xs.shape
+        assert xt.tobytes() == want_xt.tobytes() and xt.shape == want_xt.shape
+        for got, want in ((ys, want_ys), (yt, want_yt)):
+            assert np.issubdtype(got.dtype, np.integer)
+            assert np.array_equal(got, want)
+
     def test_deterministic_and_matches_train_data(self):
         a = generate(SMALL)
         b = generate(SMALL)
@@ -255,10 +299,10 @@ class TestObjective:
             LossConfig("nsm", r=0.5, alpha=1.0, epsilon=1e-6, lam=0.8),
             LossConfig("bnm", lam=0.3),
         ):
-            total, ce, lt, grad_w, grad_b = objective_and_gradients(
-                weights, bias, xsb, ysb, xtb, cfg
+            probs_src, lt, grad_w, grad_b = objective_and_gradients(
+                weights, bias, xsb, np.eye(3)[ysb], xtb, cfg
             )
-            assert abs(total - (ce + cfg.lam * lt)) <= 1e-12
+            ce = -np.log(probs_src[np.arange(8), ysb]).mean()
 
             def obj_w(w_flat):
                 w = w_flat.reshape(2, 3)
@@ -267,6 +311,7 @@ class TestObjective:
                 lt_v = loss_value(softmax(xtb @ w + bias), cfg)
                 return ce_v + cfg.lam * lt_v
 
+            assert abs(obj_w(weights.ravel()) - (ce + cfg.lam * lt)) <= 1e-12
             fd_w = fd_gradient(lambda w: obj_w(w.ravel()), weights.reshape(2, 3))
             assert np.max(np.abs(grad_w - fd_w)) <= 1e-4 * max(1.0, np.abs(fd_w).max())
 
@@ -285,10 +330,13 @@ class TestObjective:
         weights = rng.normal(size=(2, 3)) * 0.4
         bias = rng.normal(size=3) * 0.2
         cfg = LossConfig(kind, lam=lam)
-        got = objective_and_gradients(weights, bias, xs[:32], ys[:32], xt[:10], cfg)
-        want = reference_objective(weights, bias, xs[:32], ys[:32], xt[:10], cfg)
-        assert got[:3] == want[:3]
-        assert got[3].tobytes() == want[3].tobytes() and got[4].tobytes() == want[4].tobytes()
+        probs_src, lt, grad_w, grad_b = objective_and_gradients(
+            weights, bias, xs[:32], np.eye(3)[ys[:32]], xt[:10], cfg
+        )
+        want_probs, want_lt, want_w, want_b = reference_step(weights, bias, xs[:32], ys[:32], xt[:10], cfg)
+        assert lt == want_lt
+        for got, want in ((probs_src, want_probs), (grad_w, want_w), (grad_b, want_b)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTrain:
