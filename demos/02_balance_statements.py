@@ -16,7 +16,7 @@ from equimax.optimizer import AscentConfig
 ascent = AscentConfig(inits=32, steps=500)
 
 for n_rows, n_cols in [(4, 2), (7, 3), (3, 4)]:
-    print(f"=== B={n_rows}, C={n_cols} (balanced sizes: {balanced_sizes(n_rows, n_cols).sizes}) ===")
+    print(f"=== B={n_rows}, C={n_cols} (balanced sizes: {balanced_sizes(n_rows, n_cols)}) ===")
     for rep in verify_all(n_rows, n_cols, r=0.5, alpha=1.0, seed=7, ascent=ascent):
         detail = ""
         if rep.verdict == "pass" and rep.theorem in (1, 3, 5):

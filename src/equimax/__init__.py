@@ -32,7 +32,6 @@ from .losses import (
     svd,
 )
 from .oracle import (
-    BalancedSizes,
     TheoremReport,
     balanced_sizes,
     hessian_diag,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AscentConfig",
     "AscentResult",
-    "BalancedSizes",
     "EXAMPLES_2X2",
     "EXAMPLES_4X2",
     "GradOutput",

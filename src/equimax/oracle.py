@@ -14,10 +14,11 @@ Six machine-checkable statements are covered:
    bound 1/alpha + epsilon*B exactly on matrices whose rows occupy pairwise
    distinct classes.
 
-Searches run at the class-size-composition level where possible: on one-hot
-matrices every implemented loss depends only on the multiset of class sizes
-(a property the test suite verifies by full enumeration), which turns an
-exponential search over C^B matrices into a polynomial one over
+Statements 1, 3 and 4/5 search class-size compositions, all through
+``_size_search``, the one place that chooses the searched size vectors: on
+one-hot matrices every implemented loss depends only on the multiset of
+class sizes (a property the test suite verifies by full enumeration), which
+turns an exponential search over C^B matrices into a polynomial one over
 compositions of B into C parts.  Statement 1 additionally cross-checks the
 dense SVD against the closed form on fully enumerated one-hot matrices.
 
@@ -29,13 +30,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .losses import LossConfig, _ns_stack, _singular_values_stack
-from .optimizer import AscentConfig, AscentResult, maximize
+from .optimizer import AscentConfig, maximize
 from .probmat import (
     DEFAULT_ENUM_BUDGET,
     BudgetError,
@@ -53,34 +53,15 @@ ASCENT_BOUND_TOL = 1e-6
 CROSSCHECK_ROWS_LIMIT = 6
 
 
-@dataclass(frozen=True)
-class BalancedSizes:
-    """The balanced class-size multiset for B samples over C classes.
+def balanced_sizes(n_rows: int, n_cols: int) -> tuple[int, ...]:
+    """The balanced class sizes for B samples over C classes, ascending.
 
-    ``floor_count`` classes get floor(B/C) samples and the rest get
-    ceil(B/C), chosen so the sizes add up to B exactly.  When C divides B
-    the split is degenerate and ``floor_count`` is taken to be C.
+    B mod C classes get ceil(B/C) samples and the rest get floor(B/C).
     """
-
-    floor_count: int
-    floor_size: int
-    ceil_size: int
-    sizes: tuple[int, ...]
-
-
-def balanced_sizes(n_rows: int, n_cols: int) -> BalancedSizes:
     if n_rows < 1 or n_cols < 2:
         raise ValueError(f"need n_rows >= 1 and n_cols >= 2, got {n_rows}, {n_cols}")
-    floor_size = n_rows // n_cols
-    ceil_size = -(-n_rows // n_cols)
-    if n_rows % n_cols == 0:
-        count = n_cols
-    else:
-        count = n_cols * ceil_size - n_rows
-    sizes = (floor_size,) * count + (ceil_size,) * (n_cols - count)
-    return BalancedSizes(
-        floor_count=count, floor_size=floor_size, ceil_size=ceil_size, sizes=tuple(sorted(sizes))
-    )
+    size, extra = divmod(n_rows, n_cols)
+    return (size,) * (n_cols - extra) + (size + 1,) * extra
 
 
 def hessian_diag(a, b, x, r):
@@ -99,7 +80,7 @@ def hessian_diag(a, b, x, r):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass
+@dataclasses.dataclass
 class TheoremReport:
     """Machine-checkable verdict of one statement check.
 
@@ -122,15 +103,15 @@ class TheoremReport:
         return dataclasses.asdict(self)
 
 
-def _composition_array(n_rows: int, n_cols: int, budget: int) -> np.ndarray:
-    comps = list(enumerate_size_compositions(n_rows, n_cols, budget))
-    return np.array(comps, dtype=float)
-
-
-def _argbest_multisets(comps: np.ndarray, values: np.ndarray, best: float, tol: float) -> list:
+def _size_search(n_rows: int, n_cols: int, budget: int, score, tol: float) -> tuple[float, list]:
+    """The best ``score`` over all class-size compositions, and the sorted
+    list of the size multisets (each ascending) that score within ``tol`` of it."""
+    comps = np.array(list(enumerate_size_compositions(n_rows, n_cols, budget)), dtype=float)
+    values = score(comps)
+    best = float(values.max())
     hit = np.nonzero(np.abs(values - best) <= tol)[0]
     multisets = {tuple(sorted(int(v) for v in comps[i])) for i in hit}
-    return [list(t) for t in sorted(multisets)]
+    return best, [list(t) for t in sorted(multisets)]
 
 
 def _one_hot_label_stack(n_rows: int, n_cols: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,11 +130,8 @@ def verify_theorem_1(n_rows: int, n_cols: int, budget: int = DEFAULT_ENUM_BUDGET
     one-hot matrix that the dense-SVD nuclear norm matches the closed form
     within 1e-9, which justifies the composition-level search.
     """
-    comps = _composition_array(n_rows, n_cols, budget)
-    values = np.sqrt(comps).sum(axis=1)
-    best = float(values.max())
-    argmax = _argbest_multisets(comps, values, best, VALUE_TOL)
-    predicted = balanced_sizes(n_rows, n_cols)
+    predicted = list(balanced_sizes(n_rows, n_cols))
+    best, argmax = _size_search(n_rows, n_cols, budget, lambda comps: np.sqrt(comps).sum(axis=1), VALUE_TOL)
     params = {"b": n_rows, "c": n_cols, "budget": budget}
     crosscheck_ok = True
     if n_rows <= CROSSCHECK_ROWS_LIMIT:
@@ -164,17 +142,24 @@ def verify_theorem_1(n_rows: int, n_cols: int, budget: int = DEFAULT_ENUM_BUDGET
         crosscheck_ok = max_err <= VALUE_TOL
         params["svd_crosscheck_matrices"] = int(stack.shape[0])
         params["svd_crosscheck_max_err"] = max_err
-    ok = argmax == [list(predicted.sizes)] and crosscheck_ok
+    ok = argmax == [predicted] and crosscheck_ok
     return TheoremReport(
         theorem=1,
         params=params,
         argmax=argmax,
         optimum=best,
-        predicted=list(predicted.sizes),
+        predicted=predicted,
         verdict="pass" if ok else "fail",
         tolerance=VALUE_TOL,
         seed=None,
     )
+
+
+def _check_theorem_2_params(r: float, trials: int) -> None:
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"statement 2 covers 0 < r < 1 only, got r={r}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
 
 
 def verify_theorem_2(
@@ -192,10 +177,7 @@ def verify_theorem_2(
     one-hot rows within 1e-3.  Labeled evidence, not proof: the continuous
     space cannot be enumerated.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"statement 2 covers 0 < r < 1 only, got r={r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_theorem_2_params(r, trials)
     rng = np.random.default_rng(seed)
     u = rng.random((trials, 4))
     a = np.where(u[:, 0] < 0.1, 0.0, u[:, 1] * max(n_rows - 1, 1))
@@ -241,23 +223,18 @@ def verify_theorem_3(
     """
     if not 0.0 < r <= 1.0:
         raise ValueError(f"statement 3 covers 0 < r < 1 (r = 1 descriptive), got r={r}")
-    predicted = list(balanced_sizes(n_rows, n_cols).sizes)  # the shape check at every r, before the enumeration
-    comps = _composition_array(n_rows, n_cols, budget)
-    exponent = 1.0 - r
-    if exponent > 0.0:
-        values = np.power(comps, exponent).sum(axis=1)
-    else:
-        values = (comps > 0).sum(axis=1).astype(float)
-    best = float(values.max())
-    argmax = _argbest_multisets(comps, values, best, VALUE_TOL)
-    params = {"b": n_rows, "c": n_cols, "r": r, "budget": budget}
+    predicted = list(balanced_sizes(n_rows, n_cols))  # the shape check at every r, before the enumeration
+    # an empty class scores 0, also at r = 1, where 0 ** 0 would score it 1
+    best, argmax = _size_search(
+        n_rows, n_cols, budget, lambda comps: np.where(comps > 0, np.power(comps, 1.0 - r), 0.0).sum(axis=1), VALUE_TOL
+    )
     if r == 1.0:
         predicted, verdict = None, "descriptive"
     else:
         verdict = "pass" if argmax == [predicted] else "fail"
     return TheoremReport(
         theorem=3,
-        params=params,
+        params={"b": n_rows, "c": n_cols, "r": r, "budget": budget},
         argmax=argmax,
         optimum=best,
         predicted=predicted,
@@ -265,6 +242,13 @@ def verify_theorem_3(
         tolerance=VALUE_TOL,
         seed=None,
     )
+
+
+def _check_theorem_4_5_params(alpha: float, epsilon: float) -> None:
+    if not 0.0 < alpha < math.inf:  # written so that NaN fails too
+        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
 
 
 def verify_theorem_4_5(
@@ -285,19 +269,14 @@ def verify_theorem_4_5(
     optimum has one-hot rows (the statement-4 side).  ``theorem_id`` labels
     the report 4 or 5; the computation is shared.
     """
-    if not 0.0 < alpha < math.inf:  # written so that NaN fails too
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if not 0.0 <= epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+    _check_theorem_4_5_params(alpha, epsilon)
     if theorem_id not in (4, 5):
         raise ValueError(f"theorem_id must be 4 or 5, got {theorem_id}")
     # checks the shape before the enumeration, which would divide 0 by 0 at B = 0
-    predicted = balanced_sizes(n_rows, n_cols)
-    comps = _composition_array(n_rows, n_cols, budget)
-    sq = np.einsum("nc,nc->n", comps, comps)
-    best_sq = float(sq.min())
-    argmin = _argbest_multisets(comps, sq, best_sq, 0.0)
-    optimum = n_rows / (best_sq + (alpha - 1.0) * n_rows) + epsilon * n_rows
+    predicted = list(balanced_sizes(n_rows, n_cols))
+    # the largest -sum_c size_c^2, which is exactly minus the smallest sum, since negation is exact
+    neg_sq, argmin = _size_search(n_rows, n_cols, budget, lambda comps: -np.einsum("nc,nc->n", comps, comps), 0.0)
+    optimum = n_rows / (-neg_sq + (alpha - 1.0) * n_rows) + epsilon * n_rows
     params = {
         "b": n_rows,
         "c": n_cols,
@@ -307,7 +286,7 @@ def verify_theorem_4_5(
         "run_ascent": bool(run_ascent),
         "evidence": bool(run_ascent),
     }
-    ok = argmin == [list(predicted.sizes)]
+    ok = argmin == [predicted]
     if run_ascent:
         cfg = ascent if ascent is not None else AscentConfig(seed=seed)
         result = maximize(LossConfig("nsm", r=1.0, alpha=alpha, epsilon=epsilon), n_rows, n_cols, cfg)
@@ -320,7 +299,7 @@ def verify_theorem_4_5(
         params=params,
         argmax=argmin,
         optimum=float(optimum),
-        predicted=list(predicted.sizes),
+        predicted=predicted,
         verdict="pass" if ok else "fail",
         tolerance=ONE_HOT_TOL if run_ascent else 0.0,
         seed=seed if run_ascent else None,
@@ -350,8 +329,7 @@ def verify_theorem_6(
         raise ValueError(f"statement 6 covers 0 < r < 1, got r={r}")
     if not 0.0 < epsilon < math.inf:  # written so that NaN fails too
         raise ValueError(f"statement 6 requires epsilon > 0, got {epsilon}")
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    _check_theorem_4_5_params(alpha, epsilon)  # alpha; epsilon > 0 already passes its check
     balanced_sizes(n_rows, n_cols)  # the shape check of statements 1-5, before the enumeration
     stack, labels = _one_hot_label_stack(n_rows, n_cols, budget)
     values = _ns_stack(stack, r, alpha, epsilon)
@@ -359,7 +337,7 @@ def verify_theorem_6(
     injective = np.all(np.diff(np.sort(labels, axis=1), axis=1) > 0, axis=1)
     at_bound = np.abs(values - bound) <= BOUND_TOL
     attain_ok = bool(np.array_equal(at_bound, injective))
-    below_ok = bool(np.all(values[~injective] < bound)) if (~injective).any() else True
+    below_ok = bool(np.all(values[~injective] < bound))
     cfg = ascent if ascent is not None else AscentConfig(seed=seed)
     result = maximize(LossConfig("nsm", r=r, alpha=alpha, epsilon=epsilon), n_rows, n_cols, cfg)
     ascent_ok = result.best_value >= bound - ASCENT_BOUND_TOL
@@ -403,11 +381,16 @@ def verify_all(
 
     ``epsilon=None`` resolves like the losses' "auto": 0 when B > C, else
     1e-6.  Statement 6 is emitted as "skipped" when B > C.  It needs
-    epsilon > 0, so at epsilon = 0 it runs at 1e-6 while statements 4 and 5
-    run at 0; a lone ``verify_theorem_6`` call rejects epsilon = 0 instead.
+    epsilon > 0, so at epsilon = 0 it runs at the auto value while
+    statements 4 and 5 run at 0; a lone ``verify_theorem_6`` call rejects
+    epsilon = 0 instead.  Every parameter is checked before statement 1 runs.
     """
+    auto_epsilon = LossConfig("nsm").resolved_epsilon(n_rows, n_cols)
     if epsilon is None:
-        epsilon = LossConfig("nsm").resolved_epsilon(n_rows, n_cols)
+        epsilon = auto_epsilon
+    balanced_sizes(n_rows, n_cols)  # the shape check, then statement 2's and 4/5's, in the order they run
+    _check_theorem_2_params(r, trials)
+    _check_theorem_4_5_params(alpha, epsilon)
     reports = [
         verify_theorem_1(n_rows, n_cols, budget),
         verify_theorem_2(n_rows, n_cols, r, trials=trials, seed=seed, ascent=ascent),
@@ -416,10 +399,9 @@ def verify_all(
     five = verify_theorem_4_5(
         n_rows, n_cols, alpha, epsilon, seed=seed, ascent=ascent, budget=budget, theorem_id=5
     )
-    reports.append(dataclasses.replace(five, theorem=4))
-    reports.append(five)
+    reports += [dataclasses.replace(five, theorem=4), five]
     if n_rows <= n_cols:
-        eps6 = epsilon if epsilon > 0.0 else 1e-6
+        eps6 = epsilon if epsilon > 0.0 else auto_epsilon
         reports.append(
             verify_theorem_6(n_rows, n_cols, r, alpha, eps6, seed=seed, ascent=ascent, budget=budget)
         )

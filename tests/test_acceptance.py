@@ -74,7 +74,7 @@ def test_criterion_03_balance_statements_full_sweep():
     checked = 0
     for n_rows in range(2, 11):
         for n_cols in range(2, 6):
-            predicted = list(balanced_sizes(n_rows, n_cols).sizes)
+            predicted = list(balanced_sizes(n_rows, n_cols))
             rep1 = verify_theorem_1(n_rows, n_cols)
             assert rep1.verdict == "pass" and rep1.argmax == [predicted], (n_rows, n_cols)
             checked += 1
@@ -118,7 +118,7 @@ def test_criterion_05_one_hot_evidence():
         assert np.all(values > 0.0), (r, float(values.min()))
     ascent = AscentConfig(inits=48, steps=600)
     for n_rows, n_cols in [(4, 2), (6, 3)]:
-        predicted = sorted(balanced_sizes(n_rows, n_cols).sizes)
+        predicted = sorted(balanced_sizes(n_rows, n_cols))
         for cfg in (LossConfig("cwsm", r=0.5), LossConfig("nsm", r=1.0, alpha=1.0, epsilon=0.0)):
             res = maximize(cfg, n_rows, n_cols, ascent)
             assert is_one_hot_rows(res.best_matrix, 1e-3), (cfg.kind, n_rows, n_cols)

@@ -146,7 +146,7 @@ class TestVerify:
         "theorem, b, c",
         # theorem 6 at 3 x 1 stops earlier, at its own B <= C check
         [("3", "0", "3"), ("3", "3", "1"), ("4", "0", "3"), ("4", "3", "1"), ("5", "0", "3"), ("5", "3", "1"),
-         ("6", "0", "3")],
+         ("6", "0", "3"), ("1", "-1", "2"), ("all", "3", "0")],
     )
     def test_bad_shape_is_one_error_line(self, theorem, b, c, tmp_path, capsys):
         out = tmp_path / "t.json"

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -40,27 +41,29 @@ class TestBalancedSizes:
     )
     def test_examples(self, n_rows, n_cols, floor_count, sizes):
         out = balanced_sizes(n_rows, n_cols)
-        assert out.floor_count == floor_count
-        assert out.sizes == sizes
+        assert out == sizes
+        assert out.count(n_rows // n_cols) == floor_count
 
     def test_large_case(self):
         out = balanced_sizes(36, 31)
-        assert out.floor_count == 26
-        assert out.sizes.count(1) == 26 and out.sizes.count(2) == 5
+        assert out.count(1) == 26 and out.count(2) == 5
 
     def test_count_equation_exact(self):
         for n_rows in range(1, 40):
             for n_cols in range(2, 9):
                 out = balanced_sizes(n_rows, n_cols)
-                assert out.floor_count * out.floor_size + (n_cols - out.floor_count) * out.ceil_size == n_rows
-                assert 0 <= out.floor_count <= n_cols
-                assert sum(out.sizes) == n_rows
+                assert len(out) == n_cols
+                assert sum(out) == n_rows
+                assert max(out) - min(out) <= 1
+                assert list(out) == sorted(out)
                 if n_rows % n_cols == 0:
-                    assert out.floor_count == n_cols
+                    assert out == (n_rows // n_cols,) * n_cols
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             balanced_sizes(0, 3)
+        with pytest.raises(ValueError):
+            balanced_sizes(3, 1)
 
 
 class TestHessianDiag:
@@ -271,6 +274,43 @@ class TestTheorem6:
             verify_theorem_6(2, 3, 0.5, 1.0, value)
         with pytest.raises(ValueError, match=f"^alpha must be > 0, got {value}$"):
             verify_theorem_6(2, 3, 0.5, value, 1e-6)
+
+
+class TestVerifyAllChecksFirst:
+    """verify_all rejects a bad parameter before statement 1 enumerates anything."""
+
+    @pytest.fixture
+    def no_statement_runs(self, monkeypatch):
+        import equimax.oracle as oracle
+
+        for name in ("enumerate_size_compositions", "maximize", "_one_hot_label_stack", "_singular_values_stack"):
+
+            def ran(*args, _name=name, **kwargs):
+                raise AssertionError(f"{_name} ran")
+
+            monkeypatch.setattr(oracle, name, ran)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"alpha": 0.0}, "alpha must be > 0, got 0.0"),
+            ({"alpha": float("nan")}, "alpha must be > 0, got nan"),
+            ({"r": 1.5}, "statement 2 covers 0 < r < 1 only, got r=1.5"),
+            ({"r": 0.0}, "statement 2 covers 0 < r < 1 only, got r=0.0"),
+            ({"trials": 0}, "trials must be >= 1, got 0"),
+            ({"epsilon": float("nan")}, "epsilon must be finite and >= 0, got nan"),
+        ],
+    )
+    def test_bad_parameter_rejected_before_statement_1(self, params, message, no_statement_runs):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_all(12, 8, **params)
+
+    def test_cli_exits_1(self, no_statement_runs, tmp_path):
+        from equimax.cli import run
+
+        out = tmp_path / "all.json"
+        assert run(["verify", "--theorem", "all", "--b", "12", "--c", "8", "--alpha", "0", "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 class TestSizeSufficiency:
