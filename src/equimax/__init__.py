@@ -17,17 +17,14 @@ Library surface:
 from .losses import (
     GradOutput,
     LossConfig,
-    SvdResult,
     bnm,
     cws,
-    cwsm,
     discriminability,
     equity_metric,
     gradient,
     loss_value,
     ms,
     ns,
-    nsm,
     nuclear_norm,
     svd,
 )
@@ -70,7 +67,6 @@ __all__ = [
     "GradOutput",
     "LossConfig",
     "SurfaceGrid",
-    "SvdResult",
     "TheoremReport",
     "ToyUdaConfig",
     "ToyUdaResult",
@@ -78,7 +74,6 @@ __all__ = [
     "bnm",
     "class_sizes",
     "cws",
-    "cwsm",
     "discriminability",
     "enumerate_size_compositions",
     "equity_metric",
@@ -90,7 +85,6 @@ __all__ = [
     "maximize",
     "ms",
     "ns",
-    "nsm",
     "nuclear_norm",
     "one_hot_matrix",
     "project_rows",

@@ -137,24 +137,6 @@ class LossConfig:
 
 
 @dataclass
-class SvdResult:
-    """Thin SVD ``P = u @ diag(s) @ v.T`` with s sorted descending.
-
-    ``u`` is (B, k) and ``v`` is (C, k) with orthonormal columns,
-    k = min(B, C).  Sign convention: the largest-magnitude entry of each
-    ``u`` column is non-negative.
-    """
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.s.size
-
-
-@dataclass
 class GradOutput:
     """Loss value plus the matrix of partials d(loss)/dP_ic.
 
@@ -442,8 +424,13 @@ def _sorted_factors(
     return sigma, rots, left
 
 
-def svd(P: np.ndarray) -> SvdResult:
-    """Deterministic thin SVD of a prediction matrix.
+def svd(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deterministic thin SVD ``P = u @ diag(s) @ v.T`` of a prediction matrix.
+
+    Returns ``(u, s, v)``: ``u`` is (B, k) and ``v`` is (C, k) with
+    orthonormal columns, k = min(B, C), and ``s`` is sorted descending.
+    Sign convention: the largest-magnitude entry of each ``u`` column is
+    non-negative.
 
     One-sided Jacobi on the narrow side, sweep cap 100 * min(B, C).  When
     the matrix is at least twice as long as it is narrow and the narrow side
@@ -469,7 +456,7 @@ def svd(P: np.ndarray) -> SvdResult:
         if u[pivot, col] < 0.0:
             u[:, col] = -u[:, col]
             v[:, col] = -v[:, col]
-    return SvdResult(u=u, s=sigma, v=v)
+    return u, sigma, v
 
 
 def _singular_values_stack(stack: np.ndarray) -> np.ndarray:
@@ -720,11 +707,6 @@ def cws(P: np.ndarray, r: float) -> float:
     return -float(_cwsm(_as_matrix(P), r, False)[0])
 
 
-def cwsm(P: np.ndarray, r: float) -> float:
-    """Negated :func:`cws`."""
-    return -cws(P, r)
-
-
 def ns(P: np.ndarray, r: float, alpha: float, epsilon: float) -> float:
     """Normalized squares.
 
@@ -741,11 +723,6 @@ def ns(P: np.ndarray, r: float, alpha: float, epsilon: float) -> float:
     cfg = LossConfig("nsm", r=r, alpha=alpha, epsilon=epsilon)
     arr = _as_matrix(P)
     return float(_ns_stack(arr, r, alpha, cfg.resolved_epsilon(*arr.shape)))
-
-
-def nsm(P: np.ndarray, r: float, alpha: float, epsilon: float) -> float:
-    """Negated :func:`ns`."""
-    return -ns(P, r, alpha, epsilon)
 
 
 def discriminability(P: np.ndarray) -> float:

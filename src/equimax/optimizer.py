@@ -76,7 +76,6 @@ class AscentResult:
     accepted_steps: np.ndarray
     halving_events: int
     retire_reasons: list[str]
-    histories: Optional[list] = None
 
 
 def maximize(
@@ -84,7 +83,6 @@ def maximize(
     n_rows: int,
     n_cols: int,
     cfg: Optional[AscentConfig] = None,
-    record_history: bool = False,
 ) -> AscentResult:
     """Maximize the negated loss over the product of row simplices.
 
@@ -115,7 +113,6 @@ def maximize(
     accepted = np.zeros(cfg.inits, dtype=int)
     reasons = np.full(cfg.inits, "step cap", dtype=object)
     halving_events = 0
-    histories = [[float(v)] for v in values] if record_history else None
 
     def polish(rows_sel: np.ndarray) -> None:
         # Snap each row to its argmax corner, then relabel single rows while
@@ -182,9 +179,6 @@ def maximize(
                 kind, candidate[pending], r, alpha, eps
             )
         halving_events += int(halved.sum())
-        if record_history:
-            for i in idx:
-                histories[i].append(float(values[i]))
 
     polish(np.arange(cfg.inits))
 
@@ -200,7 +194,6 @@ def maximize(
         accepted_steps=accepted,
         halving_events=halving_events,
         retire_reasons=reasons.tolist(),
-        histories=histories,
     )
 
 

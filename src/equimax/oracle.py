@@ -380,14 +380,13 @@ def verify_all(
     """Run every statement check at one (B, C) and parameter set.
 
     ``epsilon=None`` resolves like the losses' "auto": 0 when B > C, else
-    1e-6.  Statement 6 is emitted as "skipped" when B > C.  It needs
-    epsilon > 0, so at epsilon = 0 it runs at the auto value while
-    statements 4 and 5 run at 0; a lone ``verify_theorem_6`` call rejects
-    epsilon = 0 instead.  Every parameter is checked before statement 1 runs.
+    1e-6.  Statement 6 is emitted as "skipped", with the reason in
+    ``params``, when B > C or when epsilon = 0, since it requires
+    epsilon > 0; statements 4 and 5 still run at epsilon = 0.  Every
+    parameter is checked before statement 1 runs.
     """
-    auto_epsilon = LossConfig("nsm").resolved_epsilon(n_rows, n_cols)
     if epsilon is None:
-        epsilon = auto_epsilon
+        epsilon = LossConfig("nsm").resolved_epsilon(n_rows, n_cols)
     balanced_sizes(n_rows, n_cols)  # the shape check, then statement 2's and 4/5's, in the order they run
     _check_theorem_2_params(r, trials)
     _check_theorem_4_5_params(alpha, epsilon)
@@ -400,16 +399,19 @@ def verify_all(
         n_rows, n_cols, alpha, epsilon, seed=seed, ascent=ascent, budget=budget, theorem_id=5
     )
     reports += [dataclasses.replace(five, theorem=4), five]
-    if n_rows <= n_cols:
-        eps6 = epsilon if epsilon > 0.0 else auto_epsilon
+    if n_rows <= n_cols and epsilon > 0.0:
         reports.append(
-            verify_theorem_6(n_rows, n_cols, r, alpha, eps6, seed=seed, ascent=ascent, budget=budget)
+            verify_theorem_6(n_rows, n_cols, r, alpha, epsilon, seed=seed, ascent=ascent, budget=budget)
         )
     else:
         reports.append(
             TheoremReport(
                 theorem=6,
-                params={"b": n_rows, "c": n_cols, "reason": "requires B <= C"},
+                params={
+                    "b": n_rows,
+                    "c": n_cols,
+                    "reason": "requires B <= C" if n_rows > n_cols else "requires epsilon > 0",
+                },
                 argmax=[],
                 optimum=None,
                 predicted=None,

@@ -132,6 +132,15 @@ class TestVerify:
         assert err == ["error: statement 6 requires epsilon > 0, got 0.0"]
         assert not out.exists()
 
+    def test_all_skips_theorem_6_at_epsilon_zero(self, tmp_path):
+        # statements 4 and 5 run at epsilon = 0; statement 6 says why it did not run
+        out = tmp_path / "t.json"
+        assert run(["verify", "--theorem", "all", "--b", "3", "--c", "3", "--epsilon", "0", "--out", str(out)]) == 0
+        docs = json.loads(out.read_text())
+        assert [(d["theorem"], d["verdict"]) for d in docs] == [(t, "pass") for t in range(1, 6)] + [(6, "skipped")]
+        assert docs[4]["params"]["epsilon"] == 0.0
+        assert docs[5]["params"] == {"b": 3, "c": 3, "reason": "requires epsilon > 0"}
+
     @pytest.mark.parametrize("theorem", ["2", "all"])
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_trials_below_one_is_one_error_line(self, theorem, trials, tmp_path, capsys):

@@ -11,13 +11,11 @@ from equimax.losses import (
     LossConfig,
     bnm,
     cws,
-    cwsm,
     discriminability,
     equity_metric,
     loss_value,
     ms,
     ns,
-    nsm,
     nuclear_norm,
     svd,
 )
@@ -76,68 +74,68 @@ class TestLossConfig:
 
 class TestSvd:
     def test_identity(self):
-        res = svd(np.eye(2))
-        assert np.allclose(res.s, [1, 1])
+        _, s, _ = svd(np.eye(2))
+        assert np.allclose(s, [1, 1])
 
     def test_uniform_rank_one(self):
-        res = svd(np.full((4, 2), 0.5))
-        assert np.allclose(res.s, [math.sqrt(2), 0], atol=1e-12)
+        _, s, _ = svd(np.full((4, 2), 0.5))
+        assert np.allclose(s, [math.sqrt(2), 0], atol=1e-12)
 
     def test_wide_matrix(self):
-        res = svd(np.full((1, 3), 1 / 3))
-        assert res.u.shape == (1, 1) and res.v.shape == (3, 1)
-        assert np.allclose(res.s, [1 / math.sqrt(3)])
+        u, s, v = svd(np.full((1, 3), 1 / 3))
+        assert u.shape == (1, 1) and v.shape == (3, 1)
+        assert np.allclose(s, [1 / math.sqrt(3)])
 
     def test_invariants_random(self, rng):
         for _ in range(100):
             n_rows = int(rng.integers(1, 9))
             n_cols = int(rng.integers(2, 9))
             mat = random_matrix(rng, n_rows, n_cols)
-            res = svd(mat)
-            top = max(1.0, res.s[0])
-            rec = res.u @ np.diag(res.s) @ res.v.T
+            u, s, v = svd(mat)
+            top = max(1.0, s[0])
+            rec = u @ np.diag(s) @ v.T
             assert np.max(np.abs(rec - mat)) <= 1e-9 * top
-            assert np.max(np.abs(res.u.T @ res.u - np.eye(res.k))) <= 1e-9
-            assert np.max(np.abs(res.v.T @ res.v - np.eye(res.k))) <= 1e-9
-            assert np.all(np.diff(res.s) <= 1e-15)
-            assert np.all(res.s >= 0)
+            assert np.max(np.abs(u.T @ u - np.eye(s.size))) <= 1e-9
+            assert np.max(np.abs(v.T @ v - np.eye(s.size))) <= 1e-9
+            assert np.all(np.diff(s) <= 1e-15)
+            assert np.all(s >= 0)
 
     def test_sign_convention(self, rng):
         for _ in range(20):
-            res = svd(random_matrix(rng, 5, 3))
-            for col in range(res.k):
-                pivot = np.argmax(np.abs(res.u[:, col]))
-                assert res.u[pivot, col] >= 0
+            u, s, _ = svd(random_matrix(rng, 5, 3))
+            for col in range(s.size):
+                pivot = np.argmax(np.abs(u[:, col]))
+                assert u[pivot, col] >= 0
 
     def test_matches_lapack_singular_values(self, rng):
         # independent oracle: numpy's LAPACK-backed SVD
         for _ in range(60):
             mat = random_matrix(rng, int(rng.integers(1, 8)), int(rng.integers(2, 8)))
             expect = np.linalg.svd(mat, compute_uv=False)
-            assert np.allclose(svd(mat).s, expect, atol=1e-10)
+            assert np.allclose(svd(mat)[1], expect, atol=1e-10)
 
     def test_deterministic(self, rng):
         mat = random_matrix(rng, 6, 4)
         a, b = svd(mat), svd(mat)
-        assert np.array_equal(a.u, b.u) and np.array_equal(a.s, b.s) and np.array_equal(a.v, b.v)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_degenerate_spectra(self):
         for mat in (P1, np.full((2, 2), 0.5), np.eye(2), np.full((3, 3), 1 / 3)):
-            res = svd(np.asarray(mat, dtype=float))
-            top = max(1.0, res.s[0])
-            assert np.max(np.abs(res.u @ np.diag(res.s) @ res.v.T - mat)) <= 1e-9 * top
-            assert np.max(np.abs(res.u.T @ res.u - np.eye(res.k))) <= 1e-9
-            assert np.max(np.abs(res.v.T @ res.v - np.eye(res.k))) <= 1e-9
+            u, s, v = svd(np.asarray(mat, dtype=float))
+            top = max(1.0, s[0])
+            assert np.max(np.abs(u @ np.diag(s) @ v.T - mat)) <= 1e-9 * top
+            assert np.max(np.abs(u.T @ u - np.eye(s.size))) <= 1e-9
+            assert np.max(np.abs(v.T @ v - np.eye(s.size))) <= 1e-9
 
 
-def _svd_checks(mat, res):
+def _svd_checks(mat, u, s, v):
     """LAPACK singular values to 1e-12 * max(1, s0); reconstruction and orthonormality to 1e-9."""
     expect = np.linalg.svd(mat, compute_uv=False)
     top = max(1.0, expect[0])
-    assert np.max(np.abs(res.s - expect)) <= 1e-12 * top
-    assert np.max(np.abs(res.u @ np.diag(res.s) @ res.v.T - mat)) <= 1e-9 * top
-    assert np.max(np.abs(res.u.T @ res.u - np.eye(res.k))) <= 1e-9
-    assert np.max(np.abs(res.v.T @ res.v - np.eye(res.k))) <= 1e-9
+    assert np.max(np.abs(s - expect)) <= 1e-12 * top
+    assert np.max(np.abs(u @ np.diag(s) @ v.T - mat)) <= 1e-9 * top
+    assert np.max(np.abs(u.T @ u - np.eye(s.size))) <= 1e-9
+    assert np.max(np.abs(v.T @ v - np.eye(s.size))) <= 1e-9
 
 
 def _duplicate_columns(rng, n_rows, n_cols):
@@ -207,22 +205,22 @@ class TestJacobiEngine:
         householder = losses._householder_r
         monkeypatch.setattr(losses, "_householder_r", lambda s: calls.append(s.shape) or householder(s))
         mat = random_matrix(rng, *shape)
-        _svd_checks(mat, svd(mat))
+        _svd_checks(mat, *svd(mat))
         assert bool(calls) == reduced
 
     @pytest.mark.parametrize("shape", [(8, 6), (12, 6), (30, 10)])
     @pytest.mark.parametrize("make", [_duplicate_columns, _zero_column, _one_hot_empty_class])
     def test_rank_deficient(self, rng, shape, make):
         mat = make(rng, *shape)
-        res = svd(mat)
-        _svd_checks(mat, res)
-        assert res.s[-1] <= 1e-12
+        u, s, v = svd(mat)
+        _svd_checks(mat, u, s, v)
+        assert s[-1] <= 1e-12
 
     @pytest.mark.parametrize("shape", [(6, 4), (12, 6), (256, 32), (4, 40)])
     def test_repeat_calls_bit_identical(self, rng, shape):
         mat = random_matrix(rng, *shape)
         a, b = svd(mat), svd(mat)
-        assert np.array_equal(a.u, b.u) and np.array_equal(a.s, b.s) and np.array_equal(a.v, b.v)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     @pytest.mark.parametrize("n", range(2, 41))
     def test_round_table_rows_are_left_then_right_columns(self, n):
@@ -344,8 +342,8 @@ class TestNuclearNorm:
         assert abs(nuclear_norm(P3) - 2 * math.sqrt(2)) <= 1e-9
 
     def test_p2_partial_sums(self):
-        res = svd(P2)
-        assert abs(res.s.sum() - 2.7321) <= 5e-5
+        _, s, _ = svd(P2)
+        assert abs(s.sum() - 2.7321) <= 5e-5
 
     def test_one_hot_closed_form(self):
         for n_rows, n_cols in [(1, 2), (3, 2), (4, 3), (5, 2), (6, 4)]:
@@ -375,10 +373,10 @@ class TestBnm:
 
 def _bnm_reference(P):
     """Per-matrix bnm gradient from the full SVD, and its exact rule."""
-    decomp = svd(P)
-    grad = -(decomp.u @ decomp.v.T) / P.shape[0]
-    gaps_ok = bool(np.all(-np.diff(decomp.s) > losses.SV_DISTINCT_GAP))
-    return grad, gaps_ok and bool(decomp.s[-1] > losses.SV_ZERO_TOL)
+    u, s, v = svd(P)
+    grad = -(u @ v.T) / P.shape[0]
+    gaps_ok = bool(np.all(-np.diff(s) > losses.SV_DISTINCT_GAP))
+    return grad, gaps_ok and bool(s[-1] > losses.SV_ZERO_TOL)
 
 
 def _bnm_stacks():
@@ -537,10 +535,6 @@ class TestCws:
                 assert grad.tobytes() == expect_grads[0].tobytes(), (stack.shape, r)
                 assert cws(stack[0], r) == -float(expect_values[0])
 
-    def test_cwsm_is_negation(self, rng):
-        mat = random_matrix(rng, 4, 3)
-        assert cwsm(mat, 0.5) == -cws(mat, 0.5)
-
     def test_r_range(self):
         with pytest.raises(ValueError):
             cws(P1, 1.5)
@@ -634,10 +628,6 @@ class TestNs:
         # LossConfig's checks, the ones the command line applies
         with pytest.raises(ValueError, match=field):
             ns(P1, 0.5, alpha, epsilon)
-
-    def test_nsm_is_negation(self, rng):
-        mat = random_matrix(rng, 3, 3)
-        assert nsm(mat, 0.5, 1.0, 1e-6) == -ns(mat, 0.5, 1.0, 1e-6)
 
     def test_denominator_guard(self):
         mat = np.array([[1, 0, 0], [0, 1, 0]], dtype=float)
@@ -879,7 +869,7 @@ def test_empty_matrices_follow_one_rule(kind, shape):
     if kind == "nuclear_norm":
         assert nuclear_norm(P) == 0.0 and losses._singular_values_stack(P).shape == (0,)
         return
-    value = {"ms": ms, "bnm": bnm, "cwsm": lambda P: cwsm(P, 0.5), "nsm": lambda P: nsm(P, 0.5, 1.0, 0.0)}[kind]
+    value = {"ms": ms, "bnm": bnm, "cwsm": lambda P: -cws(P, 0.5), "nsm": lambda P: -ns(P, 0.5, 1.0, 0.0)}[kind]
     cfg = LossConfig(kind)
     divisor = {"ms": "B", "bnm": "B", "cwsm": "C"}.get(kind)
     if kind == "nsm":
