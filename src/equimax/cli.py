@@ -2,8 +2,8 @@
 
 Subcommands: eval, grad, verify, surface, optimize, toyuda, examples.
 Display output uses 6 significant digits; files carry full float64
-precision.  Exit codes: 0 success, 1 validation error, 2 budget or
-convergence error.
+precision.  Exit codes: 0 success, 1 validation error (a usage error
+included), 2 budget or convergence error.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -204,10 +205,21 @@ def _cmd_examples(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are validation errors: exit code 1, not argparse's 2.
+
+    Subcommand parsers are made of the same class, so theirs exit 1 too; ``--help`` still exits 0.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every caller."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="equimax",
         description="Batch prediction losses, brute-force optimality checks, and a toy two-domain trainer.",
     )

@@ -38,7 +38,12 @@ Jacobi pass per matrix and also flags which gradients are exact.  The SVD
 and ``nsm`` kernels walk a stack in groups of bounded size and a lone matrix
 as one group, so one matrix runs each step (Jacobi, sort, left factor,
 Gram-Schmidt, pair pass) as 2-D arrays, with the same bits as a row of a
-stack.
+stack.  The ``nsm`` pair pass of a matrix of more than 1024 rows (2^20
+overlaps) splits its row blocks across the CPUs the process may use, one
+block at a time per thread, each extra thread keeping about 1 MB of block
+arrays live; the blocks' sums are added in block order, so the bytes do not
+depend on the CPU count.  The split adds threads of its own and leaves BLAS
+on the one thread it is pinned to.
 
 Output bits are pinned per host, with BLAS on one thread.  A multi-threaded
 BLAS may split matrix products differently, and numpy picks its ``power``
@@ -62,8 +67,10 @@ vectorised round.  No LAPACK routine is called.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import NoReturn, Union
 
@@ -88,6 +95,11 @@ _JACOBI_TOL = 1e-14
 _CHUNK_FLOATS = 2**16
 # overlaps per tile when the nsm pair pass runs a stack's matrices in groups
 _PAIR_TILE = 2**13
+# a matrix whose pair pass holds more overlaps than this (B > 1024) deals its row blocks to
+# all the CPUs this process may use; below it, handing a block over costs more than it saves
+_SPLIT_OVERLAPS = 2**20
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool = (None, None)  # (process id, executor of _CPUS - 1 threads), made by the first split pass
 _DENOM_TOL = 1e-15
 
 
@@ -550,6 +562,64 @@ def _cwsm(stack: np.ndarray, r: float, want_grad: bool) -> tuple[np.ndarray, np.
     return values, -(2.0 * stack * coef_lin[..., None, :] - coef_const[..., None, :]) / n_cols
 
 
+def _pair_blocks(part: np.ndarray, grad_rows: np.ndarray | None, r: float, block: int, starts: range) -> list:
+    """(pair-term sum, diagonal sum) of each row block of the matrix or group ``part`` that begins at
+    one of ``starts``; with ``grad_rows``, the block's rows of W @ P are written there."""
+    trans = part.swapaxes(-1, -2)
+    rows = np.arange(part.shape[-2])
+    sums = []
+    for start in starts:
+        overlap = np.matmul(part[..., start : start + block, :], trans)
+        np.maximum(overlap, 0.0, out=overlap)
+        if grad_rows is not None:
+            if overlap.size and overlap.min() > _PAIR_GRAD_FLOOR:
+                # no overlap to mask: plain power, same bits as the masked one
+                weights = np.power(overlap, r - 1.0)
+            else:
+                weights = np.zeros_like(overlap)
+                np.power(overlap, r - 1.0, where=overlap > _PAIR_GRAD_FLOOR, out=weights)
+            span = rows[start : start + block]
+            weights[..., span - start, span] = 0.0
+            np.matmul(weights, part, out=grad_rows[..., start : start + block, :])
+        if r == 0.0:
+            overlap = overlap > 0.0
+        elif r == 0.5:
+            # correctly rounded at half the cost of power; `overlap **= 0.5` takes this path too
+            np.sqrt(overlap, out=overlap)
+        else:
+            np.power(overlap, r, out=overlap)
+        # a strided view, so each matrix's diagonal is summed pairwise along its own row, as a
+        # lone matrix's is; a fancy-indexed diagonal of a stack comes out transposed and is
+        # summed in sequence, with other bits
+        sums.append((overlap.sum(axis=(-2, -1)), overlap.diagonal(start, -2, -1).sum(axis=-1)))
+    return sums
+
+
+def _dealt(task, starts: range, lanes: int) -> list:
+    """``task(starts)``; with several lanes, ``task(starts[k::lanes])`` on lane k, lane 0 on the
+    calling thread and the others on the module's worker threads, each in a copy of the caller's
+    context (numpy's errstate lives there).  The results come back in the order of ``starts``."""
+    if lanes == 1:
+        return task(starts)
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    global _pool
+    owner, pool = _pool
+    if owner != os.getpid():
+        # a fork child inherits the parent's pool but none of its threads, so each process makes
+        # its own; when two threads race here, the losing pool's threads exit once it is dropped
+        owner, pool = _pool = (os.getpid(), ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="equimax-nsm"))
+    futures = [pool.submit(contextvars.copy_context().run, task, starts[lane::lanes]) for lane in range(1, lanes)]
+    sums = [None] * len(starts)
+    try:
+        sums[::lanes] = task(starts[::lanes])
+    finally:
+        wait(futures)  # no worker may still write into the caller's arrays
+    for lane, future in enumerate(futures, 1):
+        sums[lane::lanes] = future.result()
+    return sums
+
+
 def _nsm(
     stack: np.ndarray, r: float, alpha: float, epsilon: float, want_grad: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -567,6 +637,15 @@ def _nsm(
     :func:`_groups` of matrices, a lone matrix being one group, and each
     matrix gets a lone matrix's row blocks, so each row of a stack's result
     has a lone matrix's bits.
+
+    A matrix of more than 1024 rows (_SPLIT_OVERLAPS overlaps) on a host
+    where the process may use several CPUs deals its blocks round-robin to
+    the calling thread and _CPUS - 1 worker threads (:func:`_dealt`); numpy
+    releases the interpreter lock inside each block's matmul, ``power`` and
+    ``sqrt``.  Every block runs the same operations either way and its sums
+    are added into the pair sum in block order, so the bytes do not depend
+    on the CPU count.  Each extra worker keeps one block's overlaps and
+    weights, about 1 MB, live; BLAS stays on one thread.
     """
     n_rows = stack.shape[-2]
     squares = _squares_stack(stack)
@@ -582,42 +661,20 @@ def _nsm(
         # cost is uniform in B; a group's tile holds at most _PAIR_TILE overlaps, or one
         # matrix's block if that is larger
         block = max(1, min(n_rows, _CHUNK_FLOATS // max(1, n_rows)))
+        starts = range(0, n_rows, block)
+        lanes = min(_CPUS, len(starts)) if n_rows * n_rows > _SPLIT_OVERLAPS else 1
         pair_sum = np.zeros(stack.shape[:-2])
         with_weights = want_grad and r > 0.0
         if want_grad:
             # every row is written below unless r == 0, where the pair term is flat;
             # C order keeps each block's rows a BLAS-ready matmul output for any input layout
             d_pair = np.empty_like(stack, order="C") if with_weights else np.zeros_like(stack, order="C")
-        rows = np.arange(n_rows)
         for mats in _groups(stack, block * n_rows, _PAIR_TILE):
-            part = stack[mats]
+            task = functools.partial(_pair_blocks, stack[mats], d_pair[mats] if with_weights else None, r, block)
             part_sum = pair_sum[mats]  # a view: the sums below land in pair_sum
-            trans = part.swapaxes(-1, -2)
-            for start in range(0, n_rows, block):
-                overlap = np.matmul(part[..., start : start + block, :], trans)
-                np.maximum(overlap, 0.0, out=overlap)
-                if with_weights:
-                    if overlap.size and overlap.min() > _PAIR_GRAD_FLOOR:
-                        # no overlap to mask: plain power, same bits as the masked one
-                        weights = np.power(overlap, r - 1.0)
-                    else:
-                        weights = np.zeros_like(overlap)
-                        np.power(overlap, r - 1.0, where=overlap > _PAIR_GRAD_FLOOR, out=weights)
-                    span = rows[start : start + block]
-                    weights[..., span - start, span] = 0.0
-                    np.matmul(weights, part, out=d_pair[mats][..., start : start + block, :])
-                if r == 0.0:
-                    overlap = overlap > 0.0
-                elif r == 0.5:
-                    # correctly rounded at half the cost of power; `overlap **= 0.5` takes this path too
-                    np.sqrt(overlap, out=overlap)
-                else:
-                    np.power(overlap, r, out=overlap)
-                part_sum += overlap.sum(axis=(-2, -1))
-                # a strided view, so each matrix's diagonal is summed pairwise along its own
-                # row, as a lone matrix's is; a fancy-indexed diagonal of a stack comes out
-                # transposed and is summed in sequence, with other bits
-                part_sum -= overlap.diagonal(start, -2, -1).sum(axis=-1)
+            for pair, diag in _dealt(task, starts, lanes):
+                part_sum += pair
+                part_sum -= diag
         if with_weights:
             d_pair *= 2.0 * r
     denom = pair_sum + alpha * squares

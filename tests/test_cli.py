@@ -76,8 +76,9 @@ class TestEval:
         assert run(["eval", "--input", "no/such/file.csv"]) == 1
 
     def test_unknown_flag_rejected(self, p3_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             run(["eval", "--input", p3_path, "--bogus"])
+        assert exc.value.code == 1
 
 
 class TestGrad:
@@ -91,8 +92,9 @@ class TestGrad:
         assert "exact: True" in capsys.readouterr().out
 
     def test_bad_epsilon_rejected(self, p3_path, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             run(["grad", "--input", p3_path, "--loss", "nsm", "--epsilon", "huh", "--out", str(tmp_path / "g.csv")])
+        assert exc.value.code == 1
 
 
 class TestVerify:
@@ -208,6 +210,34 @@ def test_one_parser_keeps_subcommand_defaults(tmp_path, capsys, p3_path):
     # epsilon "auto" resolves to 0 at B > C; the surface default would give -0.500004
     assert "loss: -0.5" in lines
     assert "ns(r=0.5, alpha=1, epsilon=0): 0.5" in lines
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--input", "{input}", "--r", "abc"],
+        ["verify", "--theorem", "7", "--b", "3", "--c", "3", "--out", "{out}/v.json"],
+        ["grad", "--input", "{input}", "--loss", "huber", "--out", "{out}/g.csv"],
+        ["optimize", "--loss", "ms", "--b", "3"],
+        [],
+    ],
+    ids=["eval_r_not_a_number", "verify_theorem_7", "grad_unknown_loss", "optimize_missing_c", "no_command"],
+)
+def test_usage_error_exits_1(argv, p3_path, tmp_path, capsys):
+    # the README gives exit code 2 to budget and convergence errors, so argparse's 2 is not used
+    with pytest.raises(SystemExit) as exc:
+        run([a.format(input=p3_path, out=tmp_path) for a in argv])
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.json")) + list(tmp_path.glob("g.csv")) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["grad", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert "usage: equimax" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,10 @@
 import ast
+import hashlib
 import inspect
 import math
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -739,6 +743,113 @@ class TestNsmPairPass:
                 got = self._outcome(losses._nsm, stack, r, alpha, epsilon, want_grad)
                 expect = self._outcome(_nsm_reference, stack, r, alpha, epsilon, want_grad)
                 assert got == expect, (name, r, alpha, epsilon, want_grad)
+
+
+def _disjoint_rows(rng, n_rows, n_cols):
+    """Flat Dirichlet rows, then 64 rows alternating between supports {0} and the other classes."""
+    mat = random_matrix(rng, n_rows, n_cols)
+    mat[-64::2] = np.eye(n_cols)[0]
+    mat[-63::2] = np.r_[0.0, np.full(n_cols - 1, 1.0 / (n_cols - 1))]
+    assert (mat[-2:] @ mat.T).min() == 0.0  # the tail's blocks take the masked power, the others the plain one
+    return mat
+
+
+def _fork_child_digest(mat, conn):
+    conn.send(hashlib.sha256(losses.gradient(mat, LossConfig("nsm", r=0.5)).grad.tobytes()).hexdigest())
+
+
+class TestNsmSplitPass:
+    """A pair pass above _SPLIT_OVERLAPS overlaps, dealt to the calling thread and worker threads."""
+
+    @pytest.mark.parametrize(
+        "shape", [(1025, 2), (1025, 10), (1500, 2), (1500, 10), (4096, 2), (4096, 10), (2, 1500, 3)], ids=str
+    )
+    def test_same_bytes_at_any_cpu_count(self, rng, monkeypatch, shape):
+        stack = np.stack([_disjoint_rows(rng, *shape[1:]) for _ in range(shape[0])]) if len(shape) == 3 else _disjoint_rows(rng, *shape)
+        lanes = []
+        dealt = losses._dealt
+        monkeypatch.setattr(losses, "_dealt", lambda task, starts, n: lanes.append(n) or dealt(task, starts, n))
+        for r in (0.0, 0.3, 0.5, 0.9):
+            for want_grad in (False, True):
+                got = set()
+                for cpus in (1, 2, 3):
+                    monkeypatch.setattr(losses, "_CPUS", cpus)
+                    values, grads = losses._nsm(stack, r, 1.0, 1e-6, want_grad)
+                    got.add((values.tobytes(), None if grads is None else grads.tobytes()))
+                assert len(got) == 1, (shape, r, want_grad)
+        assert set(lanes) == {1, 2, 3}
+
+    def test_small_passes_stay_on_the_calling_thread(self, rng, monkeypatch):
+        class Pool:
+            def submit(self, *args):
+                raise AssertionError("a block was handed to the pool")
+
+        monkeypatch.setattr(losses, "_CPUS", 4)
+        monkeypatch.setattr(losses, "_pool", (os.getpid(), Pool()))
+        shapes = [(30, 3), (256, 32), (512, 32), (1024, 32), (64, 6, 6)]
+        for shape in shapes:
+            stack = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+            for r in (0.0, 0.5, 0.9):
+                for want_grad in (False, True):
+                    losses._nsm(stack, r, 1.0, 1e-6, want_grad)
+        with pytest.raises(AssertionError, match="handed to the pool"):  # one row more is split
+            losses._nsm(random_matrix(rng, 1025, 3), 0.5, 1.0, 0.0, False)
+
+    def test_one_cpu_makes_no_pool(self, rng, monkeypatch):
+        monkeypatch.setattr(losses, "_CPUS", 1)
+        monkeypatch.setattr(losses, "_pool", (None, None))
+        losses.gradient(random_matrix(rng, 1500, 3), LossConfig("nsm", r=0.5))
+        assert losses._pool == (None, None)
+
+    def test_workers_run_in_the_callers_errstate(self, rng, monkeypatch):
+        monkeypatch.setattr(losses, "_CPUS", 2)
+        caller, seen = threading.get_ident(), []
+        blocks = losses._pair_blocks
+        monkeypatch.setattr(
+            losses, "_pair_blocks", lambda *args: seen.append((threading.get_ident(), np.geterr())) or blocks(*args)
+        )
+        with np.errstate(all="raise"):
+            ns(random_matrix(rng, 1500, 3), 0.5, 1.0, 0.0)
+        assert {ident == caller for ident, _ in seen} == {True, False}
+        assert all(set(err.values()) == {"raise"} for _, err in seen)
+
+    def test_worker_exception_reaches_the_caller(self, rng, monkeypatch):
+        monkeypatch.setattr(losses, "_CPUS", 2)
+        caller = threading.get_ident()
+        blocks = losses._pair_blocks
+
+        def failing(*args):
+            if threading.get_ident() != caller:
+                raise RuntimeError("worker block failed")
+            return blocks(*args)
+
+        monkeypatch.setattr(losses, "_pair_blocks", failing)
+        mat = random_matrix(rng, 1500, 3)
+        with pytest.raises(RuntimeError, match="worker block failed"):
+            ns(mat, 0.5, 1.0, 0.0)
+        with pytest.raises(RuntimeError, match="worker block failed"):
+            losses.gradient(mat, LossConfig("nsm", r=0.3))
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_fork_child_gets_the_parents_bytes(self, rng, monkeypatch):
+        monkeypatch.setattr(losses, "_CPUS", 2)
+        mat = random_matrix(rng, 1500, 6)
+        expect = hashlib.sha256(losses.gradient(mat, LossConfig("nsm", r=0.5)).grad.tobytes()).hexdigest()
+        assert losses._pool[0] == os.getpid()  # the child inherits this pool, but none of its threads
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        with recv, send:
+            child = ctx.Process(target=_fork_child_digest, args=(mat, send))
+            child.start()
+            child.join(10)
+            hung = child.is_alive()
+            if hung:
+                child.kill()
+                child.join(10)
+            assert not hung, "the fork child did not finish its gradient within 10 s"
+            assert child.exitcode == 0
+            assert recv.poll(0) and recv.recv() == expect
 
 
 def _softmax_stack(rng, n_mats, n_rows, n_cols):
