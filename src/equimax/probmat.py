@@ -11,10 +11,13 @@ values can be shared freely between threads.
 
 File I/O lives here as well: :func:`read_array_csv` is the one CSV parser,
 and every file the package writes comes from :func:`write_matrix_csv` or
-:func:`write_json`, as UTF-8 with '\\n' line ends.  The CSV writer gives
-each cell the shortest round-trip ``repr`` of its float64 value, the same
-bytes as ``repr(float(x))`` per cell, formatting each distinct bit pattern
-once when cells repeat; neither CSV function loops in Python over cells.
+:func:`write_json`, as UTF-8 with '\\n' line ends.  The parser hands the
+data lines to numpy's C text reader and parses what that reader refuses
+token by token with ``float``: the same bits and the same errors either
+way.  The CSV writer gives each cell the shortest round-trip ``repr`` of
+its float64 value, the same bytes as ``repr(float(x))`` per cell,
+formatting each distinct bit pattern once when cells repeat; neither CSV
+function loops in Python over cells.
 """
 
 from __future__ import annotations
@@ -195,12 +198,18 @@ def read_array_csv(source: str | IO[str]) -> np.ndarray:
     """Read a rectangular numeric CSV; the one parser behind every CSV reader.
 
     One row per line, comma-separated decimal numbers with '.' as the
-    decimal separator.  Blank lines are skipped, and so are lines starting
-    with '#' before the first data row.  ``source`` is a path or an open
-    text stream.  No probability validation: gradients and surfaces are
-    read with it too.  Every token goes through Python's ``float``, all of
-    them in one pass; lines are scanned one by one only to name the first
-    unparseable one.
+    decimal separator.  Lines are split as ``str.splitlines`` splits them.
+    Blank lines are skipped, and so are lines starting with '#' (after
+    leading whitespace) before the first data row.  ``source`` is a path or
+    an open text stream.  No probability validation: gradients and surfaces
+    are read with it too.
+
+    The lines after that header go to numpy's C text reader, which parses
+    each token with the same correctly rounded conversion as Python's
+    ``float``.  Input it refuses (``1_0``, Unicode digits, whitespace-only
+    lines, or an error) is parsed token by token with ``float`` instead, so
+    the result is always the array, and the error the one, that a per-token
+    ``float`` parse gives.
 
     Raises
     ------
@@ -214,11 +223,23 @@ def read_array_csv(source: str | IO[str]) -> np.ndarray:
     else:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
-    lines = [line for line in map(str.strip, text.splitlines()) if line]
+    lines = text.splitlines()
     start = 0
-    while start < len(lines) and lines[start].startswith("#"):
+    while start < len(lines) and lines[start].strip()[:1] in ("", "#"):
         start += 1
     lines = lines[start:]
+    if lines:
+        # the first line holds data, so the C reader finds rows or raises, and never warns
+        try:
+            return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    return _read_array_per_token(lines)
+
+
+def _read_array_per_token(lines: list[str]) -> np.ndarray:
+    """Parse data ``lines`` with Python's ``float`` per token, naming the first unparseable line."""
+    lines = [line for line in map(str.strip, lines) if line]
     if not lines:
         raise DimensionError("CSV input contains no data rows")
     tokens = ",".join(lines).split(",")
@@ -248,7 +269,9 @@ def write_matrix_csv(target: str | IO[str], mat: np.ndarray, header: str | None 
 
     Each cell is the shortest round-trip ``repr`` of its float64 value, so
     :func:`read_array_csv` gives the same bits back.  Lines end in '\\n'.
-    A ``header`` not starting with '#' gets a "# " prefix.
+    A ``header`` is split into lines as ``str.splitlines`` splits them, the
+    way the reader splits a file, and each line not starting with '#' gets
+    a "# " prefix, so the reader skips every header line.
 
     When at most half of the cells are distinct, as on a surface grid,
     ``repr`` runs once per distinct float64 bit pattern (so ``-0.0`` and
@@ -264,9 +287,11 @@ def write_matrix_csv(target: str | IO[str], mat: np.ndarray, header: str | None 
     if mat.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got {mat.ndim} dimension(s)")
     n_rows, n_cols = mat.shape
-    lines = []
-    if header:
-        lines.append((header if header.startswith("#") else "# " + header).replace("%", "%%"))
+    # the header is split as the reader splits lines, so each of its lines reads as a header line
+    lines = [
+        (line if line.startswith("#") else "# " + line).replace("%", "%%")
+        for line in (header or "").splitlines()
+    ]
     # '%s' of a float is its repr; one %-format over all cells gives the whole text
     lines += [",".join(["%s"] * n_cols)] * n_rows
     _write_text(target, ("\n".join(lines) + "\n") % _csv_cells(mat))

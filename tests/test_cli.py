@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from equimax import losses, optimizer, oracle, toyuda
+from equimax import losses, optimizer, oracle, probmat, toyuda
 from equimax.cli import run
 from equimax.probmat import (
     DimensionError,
@@ -519,6 +519,12 @@ def _per_line_read_array_csv(source):
     return np.array(rows)
 
 
+# a seeded 2000 x 7 matrix of repr'd rows under a '#' header, with CRLF line ends
+_SEEDED_CRLF_CSV = "# seeded\r\n" + "".join(
+    ",".join(map(repr, row)) + "\r\n" for row in np.random.default_rng(24).dirichlet(np.ones(7), size=2000).tolist()
+)
+
+
 def _outcome(call):
     """("ok", shape, bytes) of the returned array, or (exception type, message)."""
     try:
@@ -547,6 +553,16 @@ def _outcome(call):
         ("# h\r\n0.25,0.75\r\n0.5,0.5\r\n", None),
         ("0.25,0.75\n\n  \n0.5,0.5\n\n", None),
         ("0.5,0.5\n0.2,0.3,0.5\n0.5,half\n0.1,0.9\n", "unparseable CSV line '0.5,half'"),
+        ("# header\x0b1,2\n3,4\n", None),
+        ("1,2\x0c3,4\n", None),
+        ("1,2\x853,4\n", None),
+        ("0.5,0.5\n \t\u3000\n0.25,0.75\n", None),
+        ("  # header\n0.5,0.5\n", None),
+        ("\u0660.\u0665,\u0660.\u0665\n", None),
+        ("1e999,-1e999\n", None),
+        ("nan,-inf\n", None),
+        ("4.9e-324,2.4703282292062328e-324,0.1000000000000000055511151231257827,1.7976931348623158e308\n", None),
+        (_SEEDED_CRLF_CSV, None),
     ],
     ids=[
         "comment_after_data",
@@ -560,6 +576,16 @@ def _outcome(call):
         "crlf",
         "blank_lines_between_rows",
         "ragged_and_unparseable",
+        "vertical_tab_ends_header",
+        "form_feed_line_break",
+        "next_line_break",
+        "whitespace_only_line",
+        "indented_header",
+        "arabic_indic_digits",
+        "overflow_to_inf",
+        "nan_and_inf",
+        "rounding_edges",
+        "seeded_2000x7_crlf",
     ],
 )
 def test_csv_readers_share_one_parser(reader, text, message, tmp_path, capsys):
@@ -582,3 +608,34 @@ def test_csv_readers_share_one_parser(reader, text, message, tmp_path, capsys):
         assert _outcome(lambda: reader(io.StringIO(text, newline=""))) == want
     if message is not None:
         assert want[0] is DimensionError and message in want[1]
+
+
+def test_package_csvs_skip_the_per_token_path(tmp_path, monkeypatch):
+    # the files the package writes parse in numpy's C reader to the per-token parser's bits
+    matrix = tmp_path / "m.csv"
+    write_matrix_csv(matrix, np.random.default_rng(24).dirichlet(np.ones(5), size=300))
+    (tmp_path / "cfg.json").write_text(
+        '{"epochs": 4, "source_per_class": 15, "target_counts": [9, 6, 3], "batch_size": 6}'
+    )
+    grad, surf = tmp_path / "g.csv", tmp_path / "s.csv"
+    assert run(["grad", "--loss", "nsm", "--input", str(matrix), "--out", str(grad)]) == 0
+    assert grad.read_text().startswith("# d(nsm)/dP\n")
+    assert run(["surface", "--loss", "cwsm", "--grid", "21", "--out", str(surf)]) == 0
+    argv = ["toyuda", "--loss", "ms", "--lambda", "0.5", "--config", str(tmp_path / "cfg.json")]
+    assert run(argv + ["--out-prefix", str(tmp_path / "run")]) == 0
+    crlf = matrix.read_text().replace("\n", "\r\n")
+    sources = {
+        "grad": lambda: str(grad),
+        "surface": lambda: str(surf),
+        "toyuda": lambda: str(tmp_path / "run.csv"),
+        "crlf": lambda: io.StringIO(crlf, newline=""),
+    }
+    wants = {name: _outcome(lambda: _per_line_read_array_csv(source())) for name, source in sources.items()}
+
+    def refuse(lines):
+        raise AssertionError("entered the per-token path")
+
+    monkeypatch.setattr(probmat, "_read_array_per_token", refuse)
+    for name, source in sources.items():
+        assert wants[name][0] == "ok", name
+        assert _outcome(lambda: read_array_csv(source())) == wants[name], name

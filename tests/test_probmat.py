@@ -259,10 +259,11 @@ class TestCanonicalExamples:
 
 
 class TestCsv:
-    def test_round_trip(self, rng, tmp_path):
+    @pytest.mark.parametrize("header", ["five by three", "run 1\nseed 7", "# run 1\rseed 7\x85"])
+    def test_round_trip(self, header, rng, tmp_path):
         mat = random_matrix(rng, 5, 3)
         path = tmp_path / "m.csv"
-        write_matrix_csv(path, mat, header="five by three")
+        write_matrix_csv(path, mat, header=header)
         back = read_matrix_csv(path)
         assert np.array_equal(back, mat)
 
@@ -284,7 +285,9 @@ class TestCsv:
             read_matrix_csv(io.StringIO("0.6,0.6\n0.5,0.5\n"))
 
     @pytest.mark.parametrize("n_cols", range(1, 13))
-    @pytest.mark.parametrize("header", [None, "plain header", "# hashed header", "100% of %s, %r"])
+    @pytest.mark.parametrize(
+        "header", [None, "plain header", "# hashed header", "100% of %s, %r", "run 1\nseed 7", "# run 1\r\n% seed 7\n"]
+    )
     def test_writer_bytes_match_per_cell_repr_loop(self, n_cols, header, rng, tmp_path):
         special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, 1e16, 0.1, 1.0 / 3.0])
         mats = [
@@ -397,9 +400,7 @@ def _distinct_calls(monkeypatch):
 
 def _per_cell_csv_text(mat, header=None) -> str:
     """CSV text from the per-cell ``repr(float(x))`` loop, the byte reference for the writer."""
-    lines = []
-    if header:
-        lines.append(header if header.startswith("#") else "# " + header)
+    lines = [line if line.startswith("#") else "# " + line for line in (header or "").splitlines()]
     for row in np.asarray(mat, dtype=float):
         lines.append(",".join(repr(float(x)) for x in row))
     return "\n".join(lines) + "\n"
