@@ -32,9 +32,10 @@ Conventions baked into the formulas, for values and gradients alike:
 Each of the four losses has one kernel over a (B, C) matrix or an
 (N, B, C) stack that returns the values and, when asked, the gradients; the
 single-matrix functions, the optimizer and the brute-force checks all go
-through it, and the single-matrix functions hand it the matrix itself.  The
-``bnm`` kernel reads the singular values and the gradient -U V^T / B off one
-Jacobi pass per matrix and also flags which gradients are exact.  The SVD
+through it, and the single-matrix functions hand it the matrix itself in
+one call.  The ``bnm`` kernel reads the singular values and the gradient
+-U V^T / B off one Jacobi pass per matrix and also flags which gradients are
+exact; every other kind's are.  The SVD
 and ``nsm`` kernels walk a stack in groups of bounded size and a lone matrix
 as one group, so one matrix runs each step (Jacobi, sort, left factor,
 Gram-Schmidt, pair pass) as 2-D arrays, with the same bits as a row of a
@@ -158,7 +159,7 @@ class GradOutput:
 
     value: float
     grad: np.ndarray
-    exact: bool = True
+    exact: bool
 
 
 # ---------------------------------------------------------------------------
@@ -700,15 +701,16 @@ def _ns_stack(stack: np.ndarray, r: float, alpha: float, epsilon: float) -> np.n
 
 def _loss_stack(
     kind: str, stack: np.ndarray, r: float, alpha: float, epsilon: float, want_grad: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | bool | None]:
+    """(values, gradients or None, exact flags) of a (B, C) matrix or an (N, B, C) stack; only bnm's flags vary."""
     if kind == "ms":
-        return _ms(stack, want_grad)
+        return (*_ms(stack, want_grad), True)
     if kind == "cwsm":
-        return _cwsm(stack, r, want_grad)
+        return (*_cwsm(stack, r, want_grad), True)
     if kind == "nsm":
-        return _nsm(stack, r, alpha, epsilon, want_grad)
+        return (*_nsm(stack, r, alpha, epsilon, want_grad), True)
     if kind == "bnm":
-        return _bnm(stack, want_grad)[:2]
+        return _bnm(stack, want_grad)
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
@@ -721,7 +723,7 @@ def _loss_grads_stack(
     kind: str, stack: np.ndarray, r: float, alpha: float, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values and gradients of a matrix or a stack, from the loss's kernel."""
-    return _loss_stack(kind, stack, r, alpha, epsilon, True)
+    return _loss_stack(kind, stack, r, alpha, epsilon, True)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +781,7 @@ def ns(P: np.ndarray, r: float, alpha: float, epsilon: float) -> float:
     """
     cfg = LossConfig("nsm", r=r, alpha=alpha, epsilon=epsilon)
     arr = _as_matrix(P)
-    return float(_ns_stack(arr, r, alpha, cfg.resolved_epsilon(*arr.shape)))
+    return -float(_nsm(arr, r, alpha, cfg.resolved_epsilon(*arr.shape), False)[0])
 
 
 def discriminability(P: np.ndarray) -> float:
@@ -796,12 +798,11 @@ def equity_metric(P: np.ndarray) -> float:
 def loss_value(P: np.ndarray, cfg: LossConfig) -> float:
     """Evaluate the configured loss on ``P`` (auto epsilon resolved here)."""
     arr = _as_matrix(P)
-    eps = cfg.resolved_epsilon(*arr.shape)
-    return float(_loss_values_stack(cfg.kind, arr, cfg.r, cfg.alpha, eps))
+    return float(_loss_stack(cfg.kind, arr, cfg.r, cfg.alpha, cfg.resolved_epsilon(*arr.shape), False)[0])
 
 
 def gradient(P: np.ndarray, cfg: LossConfig) -> GradOutput:
-    """Loss value and the matrix of partials d(loss)/dP_ic.
+    """Loss value and the matrix of partials d(loss)/dP_ic (auto epsilon resolved here).
 
     Analytic in closed form for ms/cwsm/nsm.  For bnm the polar factor
     -(u @ v.T)/B of the thin SVD is returned; it is the exact gradient
@@ -809,9 +810,5 @@ def gradient(P: np.ndarray, cfg: LossConfig) -> GradOutput:
     numerically zero, and a valid subgradient (``exact=False``) otherwise.
     """
     arr = _as_matrix(P)
-    if cfg.kind == "bnm":
-        value, grad, exact = _bnm(arr, True)
-        return GradOutput(value=float(value), grad=grad, exact=exact)
-    eps = cfg.resolved_epsilon(*arr.shape)
-    value, grad = _loss_grads_stack(cfg.kind, arr, cfg.r, cfg.alpha, eps)
-    return GradOutput(value=float(value), grad=grad, exact=True)
+    value, grad, exact = _loss_stack(cfg.kind, arr, cfg.r, cfg.alpha, cfg.resolved_epsilon(*arr.shape), True)
+    return GradOutput(value=float(value), grad=grad, exact=exact)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -40,6 +40,7 @@ MAX_HALVINGS = 60
 POLISH_EVERY = 25
 RETIRE_REASONS = ("converged", "no improving step", "step cap")
 SURFACE_ARGMAX_TOL = 1e-6
+_PROFILE_OFFSETS = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,6 @@ class AscentResult:
     best_matrix: np.ndarray
     best_value: float
     final_values: np.ndarray
-    final_matrices: np.ndarray
     accepted_steps: np.ndarray
     halving_events: int
     retire_reasons: list[str]
@@ -190,7 +190,6 @@ def maximize(
         best_matrix=points[best].copy(),
         best_value=float(values[best]),
         final_values=values.copy(),
-        final_matrices=points.copy(),
         accepted_steps=accepted,
         halving_events=halving_events,
         retire_reasons=reasons.tolist(),
@@ -287,32 +286,30 @@ def surface(loss_cfg: LossConfig, grid: int = 201) -> SurfaceGrid:
     )
 
 
-def gradient_profile(loss_cfg: LossConfig, offsets=(0.0, 0.01, 0.02, 0.05, 0.1, 0.2)) -> np.ndarray:
+def gradient_profile(loss_cfg: LossConfig) -> np.ndarray:
     """Gradient magnitudes near the maximally uncertain 2x2 point.
 
     Returns (offset, Frobenius norm of the loss gradient) rows along the
-    path p1 = 0.5 + offset, p2 = 0.5 - offset.  Inspection aid for how
+    path p1 = 0.5 + offset, p2 = 0.5 - offset, at the offsets 0, 0.01,
+    0.02, 0.05, 0.1 and 0.2.  Inspection aid for how
     sharply each loss reacts around uncertain predictions; no verdict is
     attached.
     """
     rows = []
     eps = loss_cfg.resolved_epsilon(2, 2)
-    for d in offsets:
+    for d in _PROFILE_OFFSETS:
         mat = np.array([[0.5 + d, 0.5 - d], [0.5 - d, 0.5 + d]])
         _, grads = _loss_grads_stack(loss_cfg.kind, mat[None], loss_cfg.r, loss_cfg.alpha, eps)
         rows.append((float(d), float(np.linalg.norm(grads[0]))))
     return np.array(rows)
 
 
-def write_surface_csv(surf: SurfaceGrid, target: str | IO[str]) -> str | None:
-    """Write the grid as CSV ("# p1,p2,value") plus a JSON argmax sidecar.
+def write_surface_csv(surf: SurfaceGrid, target: str) -> str:
+    """Write the grid as CSV ("# p1,p2,value") to the path ``target`` plus a JSON argmax sidecar.
 
-    When ``target`` is a path the sidecar lands at ``<target>.argmax.json``
-    and its path is returned; for streams only the CSV is written.
+    The sidecar lands at ``<target>.argmax.json``; its path is returned.
     """
     probmat.write_matrix_csv(target, np.column_stack((surf.p1, surf.p2, surf.values)), header="# p1,p2,value")
-    if hasattr(target, "write"):
-        return None
     sidecar = {
         "loss": surf.config.kind,
         "r": surf.config.r,

@@ -23,7 +23,8 @@ compositions of B into C parts.  Statement 1 additionally cross-checks the
 dense SVD against the closed form on fully enumerated one-hot matrices.
 
 Every report is reproducible: fixed seeds, deterministic enumeration order,
-ties listed in full and sorted.
+ties listed in full and sorted.  A report's ``seed`` is the one its ascent
+ran with; an ``ascent`` config at another seed raises ValueError.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .losses import LossConfig, _ns_stack, _singular_values_stack
+from .losses import EPSILON_AUTO, LossConfig, _ns_stack, _singular_values_stack
 from .optimizer import AscentConfig, maximize
 from .probmat import (
     DEFAULT_ENUM_BUDGET,
@@ -114,6 +115,13 @@ def _size_search(n_rows: int, n_cols: int, budget: int, score, tol: float) -> tu
     return best, [list(t) for t in sorted(multisets)]
 
 
+def _ascent_config(seed: int, ascent: Optional[AscentConfig]) -> AscentConfig:
+    """``ascent``, or the default ascent at ``seed`` when it is None; ValueError when it runs at another seed."""
+    if ascent is not None and ascent.seed != seed:
+        raise ValueError(f"ascent seed {ascent.seed} differs from seed {seed}, which the report would name")
+    return ascent if ascent is not None else AscentConfig(seed=seed)
+
+
 def _one_hot_label_stack(n_rows: int, n_cols: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
     """All one-hot matrices as an (N, B, C) stack plus their (N, B) labels, lexicographic."""
     count = n_cols**n_rows
@@ -178,6 +186,7 @@ def verify_theorem_2(
     space cannot be enumerated.
     """
     _check_theorem_2_params(r, trials)
+    cfg = _ascent_config(seed, ascent)
     rng = np.random.default_rng(seed)
     u = rng.random((trials, 4))
     a = np.where(u[:, 0] < 0.1, 0.0, u[:, 1] * max(n_rows - 1, 1))
@@ -185,7 +194,6 @@ def verify_theorem_2(
     x = np.where(a > 0.0, u[:, 3], 1e-9 + u[:, 3] * (1.0 - 1e-9))
     hess = hessian_diag(a, b, x, r)
     min_hess = float(hess.min())
-    cfg = ascent if ascent is not None else AscentConfig(seed=seed)
     result = maximize(LossConfig("cwsm", r=r), n_rows, n_cols, cfg)
     one_hot = is_one_hot_rows(result.best_matrix, ONE_HOT_TOL)
     rounded = tuple(sorted(int(round(s)) for s in class_sizes(result.best_matrix)))
@@ -272,6 +280,7 @@ def verify_theorem_4_5(
     _check_theorem_4_5_params(alpha, epsilon)
     if theorem_id not in (4, 5):
         raise ValueError(f"theorem_id must be 4 or 5, got {theorem_id}")
+    cfg = _ascent_config(seed, ascent) if run_ascent else None
     # checks the shape before the enumeration, which would divide 0 by 0 at B = 0
     predicted = list(balanced_sizes(n_rows, n_cols))
     # the largest -sum_c size_c^2, which is exactly minus the smallest sum, since negation is exact
@@ -288,7 +297,6 @@ def verify_theorem_4_5(
     }
     ok = argmin == [predicted]
     if run_ascent:
-        cfg = ascent if ascent is not None else AscentConfig(seed=seed)
         result = maximize(LossConfig("nsm", r=1.0, alpha=alpha, epsilon=epsilon), n_rows, n_cols, cfg)
         one_hot = is_one_hot_rows(result.best_matrix, ONE_HOT_TOL)
         params["ascent_value"] = result.best_value
@@ -330,6 +338,7 @@ def verify_theorem_6(
     if not 0.0 < epsilon < math.inf:  # written so that NaN fails too
         raise ValueError(f"statement 6 requires epsilon > 0, got {epsilon}")
     _check_theorem_4_5_params(alpha, epsilon)  # alpha; epsilon > 0 already passes its check
+    cfg = _ascent_config(seed, ascent)
     balanced_sizes(n_rows, n_cols)  # the shape check of statements 1-5, before the enumeration
     stack, labels = _one_hot_label_stack(n_rows, n_cols, budget)
     values = _ns_stack(stack, r, alpha, epsilon)
@@ -338,7 +347,6 @@ def verify_theorem_6(
     at_bound = np.abs(values - bound) <= BOUND_TOL
     attain_ok = bool(np.array_equal(at_bound, injective))
     below_ok = bool(np.all(values[~injective] < bound))
-    cfg = ascent if ascent is not None else AscentConfig(seed=seed)
     result = maximize(LossConfig("nsm", r=r, alpha=alpha, epsilon=epsilon), n_rows, n_cols, cfg)
     ascent_ok = result.best_value >= bound - ASCENT_BOUND_TOL
     argmax = [[int(v) for v in lab] for lab in labels[injective]]
@@ -371,7 +379,7 @@ def verify_all(
     n_cols: int,
     r: float = 0.5,
     alpha: float = 1.0,
-    epsilon: Optional[float] = None,
+    epsilon: float | str = EPSILON_AUTO,
     seed: int = DEFAULT_SEED,
     trials: int = 1000,
     ascent: Optional[AscentConfig] = None,
@@ -379,17 +387,18 @@ def verify_all(
 ) -> list[TheoremReport]:
     """Run every statement check at one (B, C) and parameter set.
 
-    ``epsilon=None`` resolves like the losses' "auto": 0 when B > C, else
-    1e-6.  Statement 6 is emitted as "skipped", with the reason in
-    ``params``, when B > C or when epsilon = 0, since it requires
-    epsilon > 0; statements 4 and 5 still run at epsilon = 0.  Every
-    parameter is checked before statement 1 runs.
+    ``epsilon`` is a number or "auto", resolved as :class:`LossConfig`
+    resolves it: 0 when B > C, else 1e-6.  Statement 6 is emitted as
+    "skipped", with the reason in ``params``, when B > C or when
+    epsilon = 0, since it requires epsilon > 0; statements 4 and 5 still
+    run at epsilon = 0.  Every parameter, and an ``ascent`` config's seed
+    against ``seed``, is checked before statement 1 runs.
     """
-    if epsilon is None:
-        epsilon = LossConfig("nsm").resolved_epsilon(n_rows, n_cols)
     balanced_sizes(n_rows, n_cols)  # the shape check, then statement 2's and 4/5's, in the order they run
     _check_theorem_2_params(r, trials)
+    epsilon = LossConfig("nsm", epsilon=epsilon).resolved_epsilon(n_rows, n_cols)
     _check_theorem_4_5_params(alpha, epsilon)
+    ascent = _ascent_config(seed, ascent)
     reports = [
         verify_theorem_1(n_rows, n_cols, budget),
         verify_theorem_2(n_rows, n_cols, r, trials=trials, seed=seed, ascent=ascent),

@@ -92,7 +92,8 @@ def renormalize_rows(raw) -> np.ndarray:
     mat = np.array(raw, dtype=float)
     if mat.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got {mat.ndim} dimension(s)")
-    sums = mat.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing or nan sum is reported below
+        sums = mat.sum(axis=1, keepdims=True)
     if np.any(sums <= 0) or not np.all(np.isfinite(sums)):
         i = int(np.argmax((sums <= 0) | ~np.isfinite(sums)))
         raise DomainError(f"row {i} sums to {float(sums[i, 0])!r}, cannot renormalize")

@@ -881,12 +881,23 @@ class TestStackRowsMatchLoneCalls:
     def test_same_bytes_as_lone_calls(self, rng, kind, r):
         for name, stack in self._stacks(rng).items():
             for want_grad in (False, True):
-                values, grads = losses._loss_stack(kind, stack, r, 1.0, 1e-6, want_grad)
+                values, grads, flags = losses._loss_stack(kind, stack, r, 1.0, 1e-6, want_grad)
                 for idx, mat in enumerate(stack):
-                    value, grad = losses._loss_stack(kind, mat, r, 1.0, 1e-6, want_grad)
+                    value, grad, flag = losses._loss_stack(kind, mat, r, 1.0, 1e-6, want_grad)
                     assert values[idx].tobytes() == value.tobytes(), (name, idx, want_grad)
                     if want_grad:
                         assert grads[idx].tobytes() == grad.tobytes(), (name, idx)
+                        assert np.broadcast_to(flags, values.shape)[idx] == flag, (name, idx)
+
+    @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+    def test_gradient_exact_is_the_dispatchers_flag(self, rng, kind):
+        cfg = LossConfig(kind)
+        for make in (random_matrix, _rank_one, _duplicate_columns):
+            mat = make(rng, 5, 3)
+            flag = losses._loss_stack(kind, mat, cfg.r, cfg.alpha, cfg.resolved_epsilon(5, 3), True)[2]
+            assert losses.gradient(mat, cfg).exact is flag, make.__name__
+            # only bnm's rank-deficient matrices get a subgradient
+            assert flag is (kind != "bnm" or make is random_matrix), make.__name__
 
 
 class TestMetrics:

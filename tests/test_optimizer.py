@@ -41,10 +41,22 @@ class TestMaximize:
         assert is_one_hot_rows(res.best_matrix, 1e-3)
         assert sorted(np.round(class_sizes(res.best_matrix)).astype(int)) == [2, 2]
 
-    def test_iterates_stay_feasible(self):
+    def test_iterates_stay_feasible(self, monkeypatch):
+        # every iterate, candidate and polished vertex is scored, so the spy sees each of them
+        scored = []
+        values = optimizer._loss_values_stack
+
+        def spy(kind, stack, *args):
+            scored.append(stack.copy())
+            return values(kind, stack, *args)
+
+        monkeypatch.setattr(optimizer, "_loss_values_stack", spy)
         res = maximize(LossConfig("nsm", r=1.0, alpha=1.0, epsilon=0.0), 3, 2, FAST)
-        for mat in res.final_matrices:
-            validate(mat)
+        assert scored[0].shape == (FAST.inits, 3, 2)
+        for stack in scored:
+            for mat in stack:
+                validate(mat)
+        validate(res.best_matrix)
 
     def test_monotone_histories(self, monkeypatch):
         # with one start, every gradient call is handed that start's accepted
@@ -63,13 +75,29 @@ class TestMaximize:
                 assert len(hist) >= 2
                 assert np.diff(hist).min() >= -1e-10
 
-    def test_deterministic_for_fixed_seed(self):
+    def test_deterministic_for_fixed_seed(self, monkeypatch):
         a = maximize(LossConfig("cwsm", r=0.5), 4, 3, FAST)
         b = maximize(LossConfig("cwsm", r=0.5), 4, 3, FAST)
         assert np.array_equal(a.best_matrix, b.best_matrix)
         assert a.best_value == b.best_value
-        c = maximize(LossConfig("cwsm", r=0.5), 4, 3, AscentConfig(inits=24, steps=400, seed=7))
-        assert not np.array_equal(a.final_matrices, c.final_matrices)
+        assert np.array_equal(a.final_values, b.final_values)
+        assert np.array_equal(a.accepted_steps, b.accepted_steps)
+        # the first stack a run scores is its starts, which the seed draws
+        values = optimizer._loss_values_stack
+
+        def starts(seed):
+            scored = []
+
+            def spy(kind, stack, *args):
+                scored.append(stack.copy())
+                return values(kind, stack, *args)
+
+            monkeypatch.setattr(optimizer, "_loss_values_stack", spy)
+            maximize(LossConfig("cwsm", r=0.5), 4, 3, AscentConfig(inits=24, steps=1, seed=seed))
+            return scored[0]
+
+        assert np.array_equal(starts(FAST.seed), starts(FAST.seed))
+        assert not np.array_equal(starts(FAST.seed), starts(7))
 
     def test_bnm_subgradient_ascent_runs(self):
         res = maximize(LossConfig("bnm"), 2, 2, AscentConfig(inits=8, steps=200))
@@ -257,13 +285,10 @@ class TestSurfaceIo:
             lines.append(f"{float(a)!r},{float(b)!r},{float(v)!r}")
         want = "\n".join(lines) + "\n"
         path = tmp_path / "s.csv"
-        write_surface_csv(grid, str(path))
+        assert write_surface_csv(grid, str(path)) == f"{path}.argmax.json"
         assert path.read_bytes() == want.encode("utf-8")
-        buf = io.StringIO()
-        assert write_surface_csv(grid, buf) is None
-        assert buf.getvalue() == want
 
-    def test_writes_through_the_probmat_module(self, monkeypatch):
+    def test_writes_through_the_probmat_module(self, monkeypatch, tmp_path):
         # a wrapper set on probmat.write_matrix_csv sees the surface write
         from equimax import probmat
 
@@ -275,22 +300,24 @@ class TestSurfaceIo:
             writer(target, mat, **kwargs)
 
         monkeypatch.setattr(probmat, "write_matrix_csv", spy)
-        buf = io.StringIO()
-        write_surface_csv(surface(LossConfig("ms"), 5), buf)
+        path = tmp_path / "s.csv"
+        write_surface_csv(surface(LossConfig("ms"), 5), str(path))
         assert calls == [(25, 3)]
-        assert buf.getvalue().startswith("# p1,p2,value\n")
+        assert path.read_text().startswith("# p1,p2,value\n")
 
-    def test_stream_round_trip(self):
+    def test_stream_round_trip(self, tmp_path):
+        # the written file reads back through the stream reader too
         grid = surface(LossConfig("ms"), 5)
-        buf = io.StringIO()
-        write_surface_csv(grid, buf)
-        back = read_array_csv(io.StringIO(buf.getvalue()))
+        path = tmp_path / "s.csv"
+        write_surface_csv(grid, str(path))
+        back = read_array_csv(io.StringIO(path.read_text()))
         assert np.array_equal(back[:, 2], grid.values)
 
 
 def test_gradient_profile_shape():
     prof = gradient_profile(LossConfig("nsm", r=0.5, epsilon=1e-6))
-    assert prof.shape[1] == 2
+    assert prof.shape == (6, 2)
+    assert prof[:, 0].tolist() == [0.0, 0.01, 0.02, 0.05, 0.1, 0.2]
     assert np.all(np.isfinite(prof))
     assert isinstance(surface(LossConfig("ms"), 5), SurfaceGrid)
 

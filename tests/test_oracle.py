@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import re
@@ -283,7 +284,9 @@ class TestVerifyAllChecksFirst:
     def no_statement_runs(self, monkeypatch):
         import equimax.oracle as oracle
 
-        for name in ("enumerate_size_compositions", "maximize", "_one_hot_label_stack", "_singular_values_stack"):
+        for name in (
+            "enumerate_size_compositions", "maximize", "_one_hot_label_stack", "_singular_values_stack", "hessian_diag"
+        ):
 
             def ran(*args, _name=name, **kwargs):
                 raise AssertionError(f"{_name} ran")
@@ -304,6 +307,19 @@ class TestVerifyAllChecksFirst:
     def test_bad_parameter_rejected_before_statement_1(self, params, message, no_statement_runs):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             verify_all(12, 8, **params)
+
+    def test_ascent_at_another_seed_rejected(self, no_statement_runs):
+        # the report would name seed 7 while its ascent ran at the config's default seed
+        message = f"^ascent seed {FAST_ASCENT.seed} differs from seed 7, which the report would name$"
+        checks = [
+            lambda: verify_all(12, 8, seed=7, ascent=FAST_ASCENT),
+            lambda: verify_theorem_2(3, 3, 0.5, seed=7, ascent=FAST_ASCENT),
+            lambda: verify_theorem_4_5(3, 3, 1.0, 1e-6, seed=7, ascent=FAST_ASCENT),
+            lambda: verify_theorem_6(3, 3, 0.5, 1.0, 1e-6, seed=7, ascent=FAST_ASCENT),
+        ]
+        for check in checks:
+            with pytest.raises(ValueError, match=message):
+                check()
 
     def test_cli_exits_1(self, no_statement_runs, tmp_path):
         from equimax.cli import run
@@ -383,7 +399,19 @@ class TestReports:
         assert [r.verdict for r in reps] == ["pass"] * 6
 
     def test_seed_changes_report(self):
-        a = verify_theorem_2(4, 2, 0.5, trials=50, seed=1, ascent=FAST_ASCENT)
-        b = verify_theorem_2(4, 2, 0.5, trials=50, seed=2, ascent=FAST_ASCENT)
+        a = verify_theorem_2(4, 2, 0.5, trials=50, seed=1, ascent=dataclasses.replace(FAST_ASCENT, seed=1))
+        b = verify_theorem_2(4, 2, 0.5, trials=50, seed=2, ascent=dataclasses.replace(FAST_ASCENT, seed=2))
         assert a.params["min_hessian_diag"] != b.params["min_hessian_diag"]
         assert isinstance(a, TheoremReport)
+        assert (a.seed, b.seed) == (1, 2)
+
+    @pytest.mark.parametrize("b, c", [(4, 2), (2, 3)])
+    def test_verify_all_epsilon_auto_is_the_default(self, b, c):
+        want = _json_text([rep.to_dict() for rep in verify_all(b, c, ascent=FAST_ASCENT)])
+        assert _json_text([rep.to_dict() for rep in verify_all(b, c, epsilon="auto", ascent=FAST_ASCENT)]) == want
+        resolved = LossConfig("nsm").resolved_epsilon(b, c)
+        assert _json_text([rep.to_dict() for rep in verify_all(b, c, epsilon=resolved, ascent=FAST_ASCENT)]) == want
+
+    def test_verify_all_rejects_a_bad_epsilon_string(self):
+        with pytest.raises(ValueError, match="^epsilon must be a number or 'auto', got 'none'$"):
+            verify_all(4, 2, epsilon="none")

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,16 @@ def test_renormalize_rows():
     assert np.allclose(fixed, [[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(DomainError):
         renormalize_rows([[0.0, 0.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "row, total", [([math.inf, -math.inf], "nan"), ([1e308, 1e308], "inf")], ids=["inf_minus_inf", "overflow"]
+)
+def test_renormalize_rows_reports_a_non_finite_sum_without_a_warning(row, total):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^row 1 sums to {total}, cannot renormalize$"):
+            renormalize_rows([[0.5, 0.5], row])
 
 
 class TestClassSizes:
@@ -312,14 +323,14 @@ class TestCsv:
         assert buf.getvalue() == "# empty\n"
 
     @pytest.mark.parametrize("kind", ["ms", "bnm", "cwsm", "nsm"])
-    def test_default_surface_bytes_with_distinct_values_formatted_once(self, kind, monkeypatch):
+    def test_default_surface_bytes_with_distinct_values_formatted_once(self, kind, monkeypatch, tmp_path):
         surf = surface(LossConfig(kind))
-        buf = io.StringIO()
+        path = tmp_path / "s.csv"
         with _distinct_calls(monkeypatch) as calls:
-            write_surface_csv(surf, buf)
+            write_surface_csv(surf, str(path))
         assert calls == [1]
         mat = np.column_stack((surf.p1, surf.p2, surf.values))
-        assert buf.getvalue() == _per_cell_csv_text(mat, "# p1,p2,value")
+        assert path.read_bytes() == _per_cell_csv_text(mat, "# p1,p2,value").encode("utf-8")
 
     def test_repeated_special_values_keep_their_own_repr(self, rng, monkeypatch):
         mat = rng.choice(_SPECIAL_VALUES, size=(60, 7))
