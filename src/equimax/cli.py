@@ -91,11 +91,10 @@ def _theorem_summary(rep: oracle.TheoremReport) -> str:
 
 
 def _cmd_verify(args) -> int:
-    # each statement checks the parameters it uses; only epsilon needs resolving here
-    eps = LossConfig("nsm", epsilon=args.epsilon).resolved_epsilon(args.b, args.c)
+    # each statement checks the parameters it uses; verify_all resolves epsilon itself
     if args.theorem == "all":
         reports = oracle.verify_all(
-            args.b, args.c, r=args.r, alpha=args.alpha, epsilon=eps, seed=args.seed, trials=args.trials
+            args.b, args.c, r=args.r, alpha=args.alpha, epsilon=args.epsilon, seed=args.seed, trials=args.trials
         )
     else:
         num = int(args.theorem)
@@ -105,12 +104,12 @@ def _cmd_verify(args) -> int:
             rep = oracle.verify_theorem_2(args.b, args.c, args.r, trials=args.trials, seed=args.seed)
         elif num == 3:
             rep = oracle.verify_theorem_3(args.b, args.c, args.r)
-        elif num in (4, 5):
-            rep = oracle.verify_theorem_4_5(
-                args.b, args.c, args.alpha, eps, seed=args.seed, theorem_id=num
-            )
         else:
-            rep = oracle.verify_theorem_6(args.b, args.c, args.r, args.alpha, eps, seed=args.seed)
+            eps = LossConfig("nsm", epsilon=args.epsilon).resolved_epsilon(args.b, args.c)
+            if num in (4, 5):
+                rep = oracle.verify_theorem_4_5(args.b, args.c, args.alpha, eps, seed=args.seed, theorem_id=num)
+            else:
+                rep = oracle.verify_theorem_6(args.b, args.c, args.r, args.alpha, eps, seed=args.seed)
         reports = [rep]
     probmat.write_json(args.out, [r.to_dict() for r in reports] if args.theorem == "all" else rep.to_dict())
     for rep in reports:

@@ -43,8 +43,8 @@ stack.  The ``nsm`` pair pass of a matrix of more than 1024 rows (2^20
 overlaps) splits its row blocks across the CPUs the process may use, one
 block at a time per thread, each extra thread keeping about 1 MB of block
 arrays live; the blocks' sums are added in block order, so the bytes do not
-depend on the CPU count.  The split adds threads of its own and leaves BLAS
-on the one thread it is pinned to.
+depend on the CPU count.  The split's worker threads are started and joined
+within the call, and BLAS stays on the one thread it is pinned to.
 
 Output bits are pinned per host, with BLAS on one thread.  A multi-threaded
 BLAS may split matrix products differently, and numpy picks its ``power``
@@ -100,7 +100,6 @@ _PAIR_TILE = 2**13
 # all the CPUs this process may use; below it, handing a block over costs more than it saves
 _SPLIT_OVERLAPS = 2**20
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_pool = (None, None)  # (process id, executor of _CPUS - 1 threads), made by the first split pass
 _DENOM_TOL = 1e-15
 
 
@@ -598,24 +597,17 @@ def _pair_blocks(part: np.ndarray, grad_rows: np.ndarray | None, r: float, block
 
 def _dealt(task, starts: range, lanes: int) -> list:
     """``task(starts)``; with several lanes, ``task(starts[k::lanes])`` on lane k, lane 0 on the
-    calling thread and the others on the module's worker threads, each in a copy of the caller's
-    context (numpy's errstate lives there).  The results come back in the order of ``starts``."""
+    calling thread and the others on worker threads joined before this returns, each in a copy of
+    the caller's context (numpy's errstate lives there).  The results come back in block order."""
     if lanes == 1:
         return task(starts)
-    from concurrent.futures import ThreadPoolExecutor, wait
+    from concurrent.futures import ThreadPoolExecutor
 
-    global _pool
-    owner, pool = _pool
-    if owner != os.getpid():
-        # a fork child inherits the parent's pool but none of its threads, so each process makes
-        # its own; when two threads race here, the losing pool's threads exit once it is dropped
-        owner, pool = _pool = (os.getpid(), ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="equimax-nsm"))
-    futures = [pool.submit(contextvars.copy_context().run, task, starts[lane::lanes]) for lane in range(1, lanes)]
     sums = [None] * len(starts)
-    try:
+    # leaving the block joins the workers, so none can still write into the caller's arrays
+    with ThreadPoolExecutor(lanes - 1, thread_name_prefix="equimax-nsm") as pool:
+        futures = [pool.submit(contextvars.copy_context().run, task, starts[lane::lanes]) for lane in range(1, lanes)]
         sums[::lanes] = task(starts[::lanes])
-    finally:
-        wait(futures)  # no worker may still write into the caller's arrays
     for lane, future in enumerate(futures, 1):
         sums[lane::lanes] = future.result()
     return sums
@@ -641,7 +633,7 @@ def _nsm(
 
     A matrix of more than 1024 rows (_SPLIT_OVERLAPS overlaps) on a host
     where the process may use several CPUs deals its blocks round-robin to
-    the calling thread and _CPUS - 1 worker threads (:func:`_dealt`); numpy
+    the calling thread and up to _CPUS - 1 per-call threads (:func:`_dealt`); numpy
     releases the interpreter lock inside each block's matmul, ``power`` and
     ``sqrt``.  Every block runs the same operations either way and its sums
     are added into the pair sum in block order, so the bytes do not depend

@@ -14,7 +14,8 @@ takes the vertex it ends on when that does not lower its value by more
 than ``ACCEPT_TOL``.  A start retires for one of three reasons
 (``RETIRE_REASONS``): it converged (projected-gradient norm below
 ``TOL_GRAD``), no step scale down to ``MAX_HALVINGS`` halvings improved
-it, or it reached the step cap.
+it or its accepted candidate equals it (a null move, not counted as a
+step), or it reached the step cap.
 
 ``surface`` evaluates a negated loss on a uniform grid over the two-sample,
 two-class family [[p1, 1-p1], [p2, 1-p2]], the smallest case in which the
@@ -95,7 +96,8 @@ def maximize(
 
     * it converged: its projected-gradient norm at the nominal step size
       falls below ``TOL_GRAD``;
-    * no step scale down to ``MAX_HALVINGS`` halvings improves its value;
+    * no step scale down to ``MAX_HALVINGS`` halvings improves its value,
+      or the accepted candidate equals the iterate (a null move, not a step);
     * or it reached the step cap.
 
     The best final iterate is chosen by value, ties broken by lexicographic
@@ -157,6 +159,10 @@ def maximize(
             if not pending.any():
                 break
             ok = pending & (cand_vals >= cur_vals - ACCEPT_TOL)
+            null = ok & (candidate == current).all(axis=(1, 2))  # a null move: no step is left on the arc
+            retire(idx[null], "no improving step")
+            ok &= ~null
+            pending &= ~null
             if ok.any():
                 sel = idx[ok]
                 points[sel] = candidate[ok]

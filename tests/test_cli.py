@@ -127,6 +127,22 @@ class TestVerify:
         assert run(["verify", "--theorem", theorem, "--b", "3", "--c", "3", "--alpha", "0", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["verdict"] == "pass"
 
+    @pytest.mark.parametrize("theorem", ["1", "2", "3"])
+    def test_ignores_epsilon_the_statement_does_not_use(self, theorem, tmp_path):
+        # only statements 4, 5 and 6 resolve epsilon, so a negative one is no error elsewhere
+        argv = ["verify", "--theorem", theorem, "--b", "3", "--c", "3", "--out"]
+        assert run(argv + [str(tmp_path / "default.json")]) == 0
+        assert run(argv + [str(tmp_path / "bad-epsilon.json"), "--epsilon", "-1"]) == 0
+        assert (tmp_path / "default.json").read_bytes() == (tmp_path / "bad-epsilon.json").read_bytes()
+
+    def test_all_names_a_bad_r_before_a_bad_epsilon(self, tmp_path, capsys):
+        # verify_all resolves epsilon after statement 2's parameter checks
+        out = tmp_path / "t.json"
+        argv = ["verify", "--theorem", "all", "--b", "3", "--c", "3", "--r", "2", "--epsilon", "-1", "--out", str(out)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: statement 2 covers 0 < r < 1 only, got r=2.0"]
+        assert not out.exists()
+
     def test_theorem_6_rejects_epsilon_zero(self, tmp_path, capsys):
         out = tmp_path / "t.json"
         assert run(["verify", "--theorem", "6", "--b", "3", "--c", "3", "--epsilon", "0", "--out", str(out)]) == 1
@@ -297,7 +313,8 @@ class TestOptimize:
         argv = ["optimize", "--loss", "nsm", "--r", "0.5", "--epsilon", "1e-6", "--b", "3", "--c", "3"]
         assert run(argv + ["--inits", "48", "--steps", "600"]) == 0
         last = capsys.readouterr().out.splitlines()[-1]
-        assert last == "retire reasons: converged 47, no improving step 1, step cap 0"
+        # one start reaches a null move (its accepted candidate equals its iterate) and retires there
+        assert last == "retire reasons: converged 46, no improving step 2, step cap 0"
 
 
 class TestToyuda:

@@ -1,9 +1,9 @@
 import ast
+import concurrent.futures
 import hashlib
 import inspect
 import math
 import multiprocessing
-import os
 import threading
 
 import numpy as np
@@ -754,6 +754,14 @@ def _disjoint_rows(rng, n_rows, n_cols):
     return mat
 
 
+def _no_executor(*args, **kwargs):
+    raise AssertionError("worker threads were started")
+
+
+def _nsm_threads() -> list[str]:
+    return [thread.name for thread in threading.enumerate() if thread.name.startswith("equimax-nsm")]
+
+
 def _fork_child_digest(mat, conn):
     conn.send(hashlib.sha256(losses.gradient(mat, LossConfig("nsm", r=0.5)).grad.tobytes()).hexdigest())
 
@@ -780,26 +788,32 @@ class TestNsmSplitPass:
         assert set(lanes) == {1, 2, 3}
 
     def test_small_passes_stay_on_the_calling_thread(self, rng, monkeypatch):
-        class Pool:
-            def submit(self, *args):
-                raise AssertionError("a block was handed to the pool")
-
         monkeypatch.setattr(losses, "_CPUS", 4)
-        monkeypatch.setattr(losses, "_pool", (os.getpid(), Pool()))
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _no_executor)
         shapes = [(30, 3), (256, 32), (512, 32), (1024, 32), (64, 6, 6)]
         for shape in shapes:
             stack = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
             for r in (0.0, 0.5, 0.9):
                 for want_grad in (False, True):
                     losses._nsm(stack, r, 1.0, 1e-6, want_grad)
-        with pytest.raises(AssertionError, match="handed to the pool"):  # one row more is split
+        with pytest.raises(AssertionError, match="worker threads were started"):  # one row more is split
             losses._nsm(random_matrix(rng, 1025, 3), 0.5, 1.0, 0.0, False)
 
     def test_one_cpu_makes_no_pool(self, rng, monkeypatch):
         monkeypatch.setattr(losses, "_CPUS", 1)
-        monkeypatch.setattr(losses, "_pool", (None, None))
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _no_executor)
         losses.gradient(random_matrix(rng, 1500, 3), LossConfig("nsm", r=0.5))
-        assert losses._pool == (None, None)
+
+    def test_no_worker_outlives_the_call(self, rng, monkeypatch):
+        monkeypatch.setattr(losses, "_CPUS", 2)
+        names = set()
+        blocks = losses._pair_blocks
+        monkeypatch.setattr(
+            losses, "_pair_blocks", lambda *args: names.add(threading.current_thread().name) or blocks(*args)
+        )
+        losses.gradient(random_matrix(rng, 1500, 3), LossConfig("nsm", r=0.5))
+        assert any(name.startswith("equimax-nsm") for name in names)  # a worker ran blocks
+        assert _nsm_threads() == []
 
     def test_workers_run_in_the_callers_errstate(self, rng, monkeypatch):
         monkeypatch.setattr(losses, "_CPUS", 2)
@@ -829,14 +843,13 @@ class TestNsmSplitPass:
             ns(mat, 0.5, 1.0, 0.0)
         with pytest.raises(RuntimeError, match="worker block failed"):
             losses.gradient(mat, LossConfig("nsm", r=0.3))
+        assert _nsm_threads() == []
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method")
-    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     def test_fork_child_gets_the_parents_bytes(self, rng, monkeypatch):
         monkeypatch.setattr(losses, "_CPUS", 2)
         mat = random_matrix(rng, 1500, 6)
         expect = hashlib.sha256(losses.gradient(mat, LossConfig("nsm", r=0.5)).grad.tobytes()).hexdigest()
-        assert losses._pool[0] == os.getpid()  # the child inherits this pool, but none of its threads
         ctx = multiprocessing.get_context("fork")
         recv, send = ctx.Pipe(duplex=False)
         with recv, send:

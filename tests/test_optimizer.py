@@ -139,6 +139,26 @@ class TestRetire:
         assert res.best_value == 1.000003
         assert np.array_equal(res.best_matrix, [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        "n_rows, n_cols, cfg, best",
+        [
+            (6, 5, AscentConfig(), 0.75),
+            (12, 10, AscentConfig(), 0.75),
+            (10, 8, AscentConfig(inits=4, steps=200), 0.7142857142857143),
+            (14, 12, AscentConfig(inits=4, steps=200), 0.7777777777777778),
+        ],
+        ids=["6x5", "12x10", "10x8", "14x12"],
+    )
+    def test_null_move_retires(self, n_rows, n_cols, cfg, best):
+        # nsm r=0.5 with B > C: from the balanced vertex every shorter step
+        # lowers the value until the projected candidate equals the vertex;
+        # counted as a step, that null move ran every start to the step cap
+        res = maximize(LossConfig("nsm", r=0.5), n_rows, n_cols, cfg)
+        assert "step cap" not in res.retire_reasons
+        assert "no improving step" in res.retire_reasons
+        assert res.accepted_steps.max() < cfg.steps
+        assert res.best_value == best
+
     def test_step_cap_reason(self):
         res = maximize(LossConfig("nsm", r=1.0, epsilon=0.0), 3, 3, AscentConfig(inits=4, steps=10))
         assert res.retire_reasons == ["step cap"] * 4
