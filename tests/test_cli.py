@@ -627,6 +627,20 @@ def test_csv_readers_share_one_parser(reader, text, message, tmp_path, capsys):
         assert want[0] is DimensionError and message in want[1]
 
 
+@pytest.mark.parametrize("header", ["", "# exported\n"], ids=["no_header", "header"])
+def test_eval_reads_a_csv_with_a_byte_order_mark(header, tmp_path, capsys):
+    # spreadsheet "CSV UTF-8" exports start with U+FEFF
+    text = header + "0.5,0.5\n0.25,0.75\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    outs = []
+    for path in (plain, marked):
+        assert run(["eval", "--input", str(path)]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+
+
 def test_package_csvs_skip_the_per_token_path(tmp_path, monkeypatch):
     # the files the package writes parse in numpy's C reader to the per-token parser's bits
     matrix = tmp_path / "m.csv"

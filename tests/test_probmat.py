@@ -326,10 +326,12 @@ class TestCsv:
     def test_default_surface_bytes_with_distinct_values_formatted_once(self, kind, monkeypatch, tmp_path):
         surf = surface(LossConfig(kind))
         path = tmp_path / "s.csv"
-        with _distinct_calls(monkeypatch) as calls:
+        with _kernel_calls(monkeypatch) as calls:
             write_surface_csv(surf, str(path))
-        assert calls == [1]
         mat = np.column_stack((surf.p1, surf.p2, surf.values))
+        # each distinct bit pattern goes through the kernel once, in chunks
+        assert sum(calls) == np.unique(mat.view(np.int64)).size < mat.size / 2
+        assert max(calls) <= probmat._CHUNK_FLOATS
         assert path.read_bytes() == _per_cell_csv_text(mat, "# p1,p2,value").encode("utf-8")
 
     def test_repeated_special_values_keep_their_own_repr(self, rng, monkeypatch):
@@ -339,9 +341,10 @@ class TestCsv:
         want = _per_cell_csv_text(mat)
         assert "0.0,-0.0,-0.0,0.0," in want and "nan" in want and "-inf" in want and "5e-324" in want
         buf = io.StringIO()
-        with _distinct_calls(monkeypatch) as calls:
+        with _kernel_calls(monkeypatch) as calls:
             write_matrix_csv(buf, mat)
-        assert calls == [1]
+        assert mat.size >= probmat._SMALL_FLOATS
+        assert calls == [np.unique(mat.view(np.int64)).size]
         assert buf.getvalue() == want
 
     @pytest.mark.parametrize("repeated", [True, False], ids=["repeated", "distinct"])
@@ -359,15 +362,60 @@ class TestCsv:
 
     @pytest.mark.parametrize("n_distinct, formats_once", [(20, True), (21, False)])
     def test_either_side_of_the_half_distinct_threshold(self, n_distinct, formats_once, monkeypatch):
-        # 40 cells: at most 20 distinct values are formatted once each, 21 cell by cell
+        # 40 cells, with no small-matrix cutoff: at most 20 distinct values are formatted once
+        # each, 21 cell by cell
+        monkeypatch.setattr(probmat, "_SMALL_FLOATS", 0)
         values = np.concatenate(([-0.0, 0.0], np.arange(1, n_distinct - 1) / 7.0))
         mat = np.resize(values, (10, 4))
         assert np.unique(mat.view(np.int64)).size == n_distinct
         buf = io.StringIO()
-        with _distinct_calls(monkeypatch) as calls:
+        with _kernel_calls(monkeypatch) as calls:
             write_matrix_csv(buf, mat)
-        assert bool(calls) == formats_once
+        assert calls == [n_distinct if formats_once else 40]
         assert buf.getvalue() == _per_cell_csv_text(mat)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["chunk-1", "chunk", "chunk+1"])
+    @pytest.mark.parametrize("n_cols", [1, 3])
+    @pytest.mark.parametrize("repeated", [False, True], ids=["dense", "repeated"])
+    def test_bytes_across_a_chunk_boundary(self, offset, n_cols, repeated, monkeypatch, rng):
+        # one chunk is _CHUNK_FLOATS cells rounded down to whole rows
+        n_rows = probmat._CHUNK_FLOATS // n_cols + offset
+        if repeated:
+            mat = rng.choice(np.concatenate((_SPECIAL_VALUES, [0.25, -3.5e-7, 1e22])), size=(n_rows, n_cols))
+        else:
+            mat = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-320, 300, size=(n_rows, n_cols))
+        buf = io.StringIO()
+        with _kernel_calls(monkeypatch) as calls:
+            write_matrix_csv(buf, mat)
+        assert buf.getvalue() == _per_cell_csv_text(mat)
+        if repeated:
+            assert calls == [np.unique(mat.view(np.int64)).size]
+        else:
+            step = n_cols * (probmat._CHUNK_FLOATS // n_cols)
+            assert calls == [min(step, mat.size - start) for start in range(0, mat.size, step)]
+
+    @pytest.mark.parametrize("n_cells", [probmat._SMALL_FLOATS - 1, probmat._SMALL_FLOATS], ids=["below", "at"])
+    @pytest.mark.parametrize("header", [None, "100% of %s"])
+    def test_either_side_of_the_small_matrix_cutoff(self, n_cells, header, monkeypatch, rng):
+        mat = (rng.standard_normal(n_cells) * 10.0 ** rng.integers(-30, 30, size=n_cells)).reshape(-1, 1)
+        mat[:3, 0] = [-0.0, np.nan, 5e-324]
+        buf = io.StringIO()
+        with _kernel_calls(monkeypatch) as calls:
+            write_matrix_csv(buf, mat, header=header)
+        assert calls == ([] if n_cells < probmat._SMALL_FLOATS else [n_cells])
+        assert buf.getvalue() == _per_cell_csv_text(mat, header)
+
+    @pytest.mark.parametrize("header", ["", "# h\n"], ids=["no_header", "header"])
+    @pytest.mark.parametrize("kind", ["path", "stream"])
+    def test_reader_drops_a_byte_order_mark(self, header, kind, tmp_path):
+        text = header + "0.5,0.5\n0.25,0.75\n"
+        if kind == "path":
+            path = tmp_path / "bom.csv"
+            path.write_bytes(("\ufeff" + text).encode("utf-8"))
+            got = read_matrix_csv(str(path))
+        else:
+            got = read_matrix_csv(io.StringIO("\ufeff" + text))
+        assert got.tobytes() == read_matrix_csv(io.StringIO(text)).tobytes()
 
     def test_distinct_step_matches_np_unique(self, rng):
         for values in (
@@ -389,6 +437,58 @@ class TestCsv:
             write_matrix_csv(io.StringIO(), np.full(shape, 0.5))
 
 
+class TestReprKernel:
+    """The writer's kernel against ``repr``, cell for cell."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(2020).integers(0, 2**64, size=250_000, dtype=np.uint64, endpoint=False)
+        _assert_kernel_matches_repr(bits.view(float))
+
+    def test_powers_of_two_and_their_neighbours(self):
+        # a power of two has a rounding interval twice as wide above as below
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        assert powers.size == 2098
+        _assert_kernel_matches_repr(_with_neighbours(powers))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        _assert_kernel_matches_repr(_with_neighbours(np.array([float(f"1e{e}") for e in range(-323, 309)])))
+
+    def test_integers_around_two_to_the_53(self):
+        ints = np.arange(2**53 - 3000, 2**53 + 3000, dtype=np.int64).astype(float)
+        _assert_kernel_matches_repr(np.concatenate((ints, -ints, np.arange(1.0, 3000.0))))
+
+    def test_notation_switches(self):
+        # fixed notation runs from 1e-4 to below 1e16; exponents of three digits
+        switches = np.array(
+            [1e-4, 1e-5, 1.5e-4, 9.99e-5, 1e16, 1e17, 9999999999999998.0, 1234567890123456.8, 1e15, 123456789012345.67]
+            + [1e100, 1e-100, 1.5e-99, 9.5e99, 2.5e-300, 1.7976931348623157e308, 2.2250738585072014e-308]
+        )
+        _assert_kernel_matches_repr(_with_neighbours(switches))
+
+    def test_zeros_subnormals_and_non_finite(self, rng):
+        subnormals = rng.integers(1, 2**52, size=2000, dtype=np.uint64).view(float)
+        _assert_kernel_matches_repr(np.concatenate((_SPECIAL_VALUES, -_SPECIAL_VALUES, subnormals, -subnormals)))
+
+
+def _with_neighbours(values: np.ndarray) -> np.ndarray:
+    """``values``, their neighbours one ulp either side, and all of those negated."""
+    with np.errstate(over="ignore"):
+        near = np.concatenate((values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)))
+    return np.concatenate((near, -near))
+
+
+def _assert_kernel_matches_repr(values: np.ndarray) -> None:
+    for start in range(0, values.size, 50_000):
+        part = values[start : start + 50_000]
+        chars, keep = probmat._repr_cells(part)
+        got = np.compress(keep.ravel(), chars.ravel()).tobytes().decode("ascii")
+        want = "".join(repr(x) + "," for x in part.tolist())
+        if got != want:
+            cells = got.split(",")
+            bad = next(i for i, x in enumerate(part.tolist()) if cells[i] != repr(x))
+            raise AssertionError(f"bits {part[bad:bad + 1].view(np.uint64)[0]:#018x}: {cells[bad]!r} != {part[bad]!r}")
+
+
 # float64 values whose repr is easy to get wrong: signed zeros, NaNs with the
 # sign bit set and with payloads, infinities, subnormals
 _SPECIAL_VALUES = np.concatenate(
@@ -400,12 +500,12 @@ _SPECIAL_VALUES = np.concatenate(
 
 
 @contextlib.contextmanager
-def _distinct_calls(monkeypatch):
-    """Record each call of the writer's distinct-value step, which it skips when most cells are distinct."""
+def _kernel_calls(monkeypatch):
+    """Record the number of values of each call of the writer's formatting kernel."""
     calls = []
-    step = probmat._distinct_inverse
+    kernel = probmat._repr_cells
     with monkeypatch.context() as patch:
-        patch.setattr(probmat, "_distinct_inverse", lambda *a: calls.append(1) or step(*a))
+        patch.setattr(probmat, "_repr_cells", lambda values: calls.append(values.size) or kernel(values))
         yield calls
 
 
