@@ -36,10 +36,10 @@ through it, and the single-matrix functions hand it the matrix itself in
 one call.  The ``bnm`` kernel reads the singular values and the gradient
 -U V^T / B off one Jacobi pass per matrix and also flags which gradients are
 exact; every other kind's are.  The SVD
-and ``nsm`` kernels walk a stack in groups of bounded size and a lone matrix
-as one group, so one matrix runs each step (Jacobi, sort, left factor,
-Gram-Schmidt, pair pass) as 2-D arrays, with the same bits as a row of a
-stack.  The ``nsm`` pair pass of a matrix of more than 1024 rows (2^20
+and ``nsm`` kernels walk a stack in groups of bounded size, and a lone
+matrix runs each step (Jacobi, sort, left factor, Gram-Schmidt, pair pass)
+once, as 2-D arrays and Python or numpy scalars, with the same bits as a
+row of a stack.  The ``nsm`` pair pass of a matrix of more than 1024 rows (2^20
 overlaps) splits its row blocks across the CPUs the process may use, one
 block at a time per thread, each extra thread keeping about 1 MB of block
 arrays live; the blocks' sums are added in block order, so the bytes do not
@@ -63,7 +63,14 @@ finds every pair orthogonal to a relative 1e-14.  Single matrices and stacks
 run the same rounds with the same formulas and get the same bits; a lone
 matrix rotates each round in one row update with its rotation parameters
 as Python floats, which takes far fewer numpy calls than a stack's
-vectorised round.  No LAPACK routine is called.
+vectorised round.  Every round of a lone matrix of 2 or 3 columns holds
+one pair: it takes the pair's inner product with one ``einsum`` over the
+two 1-D rows, ``c`` with ``np.power`` in place in a 1-entry buffer (Python's
+``**`` rounds differently in the last bit), and [-s; s] and the turned rows
+in arrays made once per call, never per module, since several threads may
+decompose matrices at once.  It calls the public ``np.einsum``, not the faster C function
+behind it, whose module moved between numpy 1.x and 2.x.  No LAPACK
+routine is called.
 """
 
 from __future__ import annotations
@@ -198,25 +205,48 @@ def _round_robin(n: int) -> tuple[tuple, ...]:
 
 
 def _rotate_lone_round(
-    work: np.ndarray, m: int, norms: list[float], pairs: tuple, rows: Union[slice, np.ndarray], floor: float
+    work: np.ndarray,
+    m: int,
+    norms: list[float],
+    pairs: tuple,
+    rows: Union[slice, np.ndarray],
+    floor: float,
+    scratch: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> bool:
     """One round of a lone matrix's sweep, all pairs at once, with the rotation parameters as Python floats.
 
     ``work`` is the matrix's (n, m + n) working array and ``norms`` its
     column norms, both updated in place.  Returns whether any pair needed a
-    rotation.  The round's ``rows`` are read once for one ``einsum`` of the
-    inner products and rotated in one update with C = [c; c], S = [-s; s].
-    Each step is the vectorised round's, so the bits are the same: float
-    ``+ - * /``, ``sqrt``, ``abs`` and ``copysign`` round alike in Python
-    and numpy, c x + (-s) y and c y + s x round as c x - s y and s x + c y,
-    and ``c`` comes from numpy's power, which Python's ``**`` misses in the
-    last bit in about 6 % of cases.  When one pair needs a rotation, the
-    others get the identity (c = 1, s = 0), as in the vectorised round,
-    which keeps the signs of zero entries alike.
+    rotation.  Each step is the vectorised round's, so the bits are the
+    same: float ``+ - * /``, ``sqrt``, ``abs`` and ``copysign`` round alike
+    in Python and numpy, c x + (-s) y and c y + s x round as c x - s y and
+    s x + c y, and ``c`` comes from numpy's power, which Python's ``**``
+    misses in the last bit in about 6 % of cases.
+
+    A round of one pair (every round of a matrix of 2 or 3 columns) takes
+    its inner product with one ``einsum`` over the 1-D rows i and j, which
+    gives the vectorised round's bits in fewer steps than its 3-D form.
+    ``scratch`` holds arrays made once per :func:`_jacobi_orthogonalize`
+    call for it: ``c`` is taken by ``np.power`` in place in a 1-entry
+    buffer, [-s; s] is written into a 2 x 1 column, and the turned rows
+    s [-y; x] into a 2 x (m + n) array; the rows, a view, are then rotated
+    in place.  The arrays belong to the call, not to the module, because
+    threads may decompose matrices at once.
+    The public ``np.einsum`` is used, since the C function behind it moves
+    between numpy's major versions.
+
+    A round of several pairs reads its ``rows`` once for one ``einsum`` of
+    the inner products and rotates them in one update with C = [c; c],
+    S = [-s; s].  When one of its pairs needs a rotation, the others get the
+    identity (c = 1, s = 0), as in the vectorised round, which keeps the
+    signs of zero entries alike.
     """
     half = len(pairs)
     xy = work[rows]  # left rows over right rows: a view for a slice, a copy for an index array
-    ab = np.einsum("npm,npm->np", xy[None, :half, :m], xy[None, half:, :m])[0].tolist()
+    if half == 1:
+        ab = [float(np.einsum("m,m->", xy[0, :m], xy[1, :m]))]
+    else:
+        ab = np.einsum("npm,npm->np", xy[None, :half, :m], xy[None, half:, :m])[0].tolist()
     ts = []
     rotated = False
     for (i, j), prod in zip(pairs, ab):
@@ -234,17 +264,24 @@ def _rotate_lone_round(
             norms[j] = 0.0 if bb <= 0.0 else bb
         else:
             ts.append(0.0)
-    if rotated and half == 1:  # rows i and j, a view, rotated in place by scalars: cheaper than arrays
-        c = (np.array([1.0 + ts[0] * ts[0]]) ** -0.5).item()
-        turned = xy[::-1] * np.array([[-c * ts[0]], [c * ts[0]]])
-        xy *= c
+    if not rotated:
+        return False
+    if half == 1:  # rows i and j, a view, rotated in place
+        (t,) = ts
+        buf, coef, turned = scratch
+        buf[0] = 1.0 + t * t
+        np.power(buf, -0.5, out=buf)
+        coef[1, 0] = s = buf.item() * t
+        coef[0, 0] = -s
+        np.multiply(xy[::-1], coef, out=turned)
+        xy *= buf
         xy += turned
-    elif rotated:  # C = [c; c] from one power over [1 + t^2; 1 + t^2], and S = C [-t; t] = [-s; s]
+    else:  # C = [c; c] from one power over [1 + t^2; 1 + t^2], and S = C [-t; t] = [-s; s]
         C = (np.array([1.0 + t * t for t in ts] * 2) ** -0.5).reshape(2, half, 1)
         S = C * np.array([-t for t in ts] + ts).reshape(2, half, 1)
         xy = xy.reshape(2, half, -1)
         work[rows] = (C * xy + S * xy[::-1]).reshape(2 * half, -1)
-    return rotated
+    return True
 
 
 def _jacobi_orthogonalize(mats: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, int]:
@@ -255,35 +292,47 @@ def _jacobi_orthogonalize(mats: np.ndarray, max_sweeps: int) -> tuple[np.ndarray
     A sweep runs the round-robin rounds in order and rotates all pairs of a
     round at once, so the computation is deterministic.  Column norms are
     computed once per sweep and updated in closed form after each rotation,
-    leaving one inner product per pair and round.  A lone matrix rotates
-    each round with Python-float parameters (:func:`_rotate_lone_round`), a
-    stack with the vectorised round, to the same bits.  A matrix with fewer
-    than two columns has no pair to rotate and returns after 0 sweeps.
+    leaving one inner product per pair and round.  A lone matrix, or a
+    stack of one, runs on a 2-D (n, m + n) working array and rotates each
+    round with Python-float parameters (:func:`_rotate_lone_round`), a stack
+    with the vectorised round, to the same bits.  A matrix with fewer than
+    two columns has no pair to rotate and returns after 0 sweeps.
     """
-    lone_input = mats.ndim == 2
-    if lone_input:
-        mats = mats[None]
+    rounds = _round_robin(mats.shape[-1])
+    # Rotation-invariant scale, 1e-32 times the sum of the column norms; inner products below
+    # this floor belong to numerically-zero columns and are skipped (also keeps zeta finite).
+    if mats.ndim == 2 or len(mats) == 1:
+        mat = mats if mats.ndim == 2 else mats[0]  # a view: the rotated columns land in mats
+        m, n = mat.shape
+        # row j holds column j of the matrix followed by column j of the rotations
+        work = np.zeros((n, m + n))
+        cols = work[:, :m]
+        cols[...] = mat.T
+        work.reshape(-1)[m :: m + n + 1] = 1.0  # the identity in work[:, m:]
+        norms = np.einsum("km,km->k", cols, cols)
+        floor = 1e-32 * norms.sum().item()
+        scratch = np.empty(1), np.empty((2, 1)), np.empty((2, m + n))
+        for sweep in range(1 if rounds else 0, max_sweeps + 1):  # no column pair: done at sweep 0
+            rotated = False
+            lone_norms = norms.tolist()
+            for _, _, pairs, rows in rounds:
+                rotated |= _rotate_lone_round(work, m, lone_norms, pairs, rows, floor, scratch)
+            if not rotated:
+                mat[...] = cols.T
+                rots = work[:, m:].T.copy()
+                return (rots if mats.ndim == 2 else rots[None]), sweep
+            norms = np.einsum("km,km->k", cols, cols)
+        raise ConvergenceError(f"Jacobi SVD did not converge within {max_sweeps} sweeps")
     n_mats, m, n = mats.shape
-    # row j holds column j of the matrix followed by column j of the rotations
     work = np.zeros((n_mats, n, m + n))
     cols = work[:, :, :m]
     cols[...] = mats.transpose(0, 2, 1)
     work[:, :, m:] = np.eye(n)
     norms = np.einsum("nkm,nkm->nk", cols, cols)
-    # Rotation-invariant scale; inner products below this floor belong to
-    # numerically-zero columns and are skipped (also keeps zeta finite).
     floor = 1e-32 * norms.sum(axis=1, keepdims=True)
-    lone = n_mats == 1
-    if lone:
-        floor, lone_work = floor.item(), work[0]
-    rounds = _round_robin(n)
-    for sweep in range(1 if rounds else 0, max_sweeps + 1):  # no column pair: done at sweep 0
+    for sweep in range(1 if rounds else 0, max_sweeps + 1):
         rotated = False
-        lone_norms = norms[0].tolist() if lone else None
         for left, right, pairs, rows in rounds:
-            if lone:
-                rotated |= _rotate_lone_round(lone_work, m, lone_norms, pairs, rows, floor)
-                continue
             x = work[:, left]
             y = work[:, right]
             ab = np.einsum("npm,npm->np", x[:, :, :m], y[:, :, :m])
@@ -307,8 +356,7 @@ def _jacobi_orthogonalize(mats: np.ndarray, max_sweeps: int) -> tuple[np.ndarray
             work[:, left] = new_x
         if not rotated:
             mats[...] = cols.transpose(0, 2, 1)
-            rots = work[:, :, m:].transpose(0, 2, 1).copy()
-            return (rots[0] if lone_input else rots), sweep
+            return work[:, :, m:].transpose(0, 2, 1).copy(), sweep
         norms = np.einsum("nkm,nkm->nk", cols, cols)
     raise ConvergenceError(f"Jacobi SVD did not converge within {max_sweeps} sweeps")
 
@@ -373,7 +421,10 @@ def _orthonormalize_columns(q: np.ndarray) -> np.ndarray:
             basis = out[:, :idx]
             v = _project_off(basis, q[None, :, idx]) if idx else q[None, :, 0]
             norm = math.sqrt(np.einsum("im,im->", v, v))
-            out[:, idx] = _completion(basis) if norm <= 0.5 else v[0] / norm
+            if norm <= 0.5:
+                out[:, idx] = _completion(basis)
+            else:
+                np.divide(v[0], norm, out=out[:, idx])
         return out
     for idx in range(k):
         basis = out[:, :, :idx]
@@ -403,10 +454,8 @@ def _jacobi_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _groups(stack: np.ndarray, per_matrix: int, limit: int) -> list:
-    """``[...]`` for a (B, C) matrix, one group; for an (N, B, C) stack, consecutive slices of
-    max(1, limit // per_matrix) matrices, so working arrays of per_matrix entries each stay bounded."""
-    if stack.ndim == 2:
-        return [...]
+    """Consecutive slices of max(1, limit // per_matrix) matrices of an (N, B, C) stack, so working
+    arrays of per_matrix entries each stay bounded."""
     size = max(1, limit // max(1, per_matrix))
     return [slice(first, first + size) for first in range(0, stack.shape[0], size)]
 
@@ -424,13 +473,21 @@ def _sorted_factors(
     # for a matrix and a stack; the left column of a near-zero sigma
     # magnifies that rounding by sigma_0 / sigma.
     if sigma.ndim == 1:
-        order = np.argsort(-sigma, kind="stable")
-        sigma = sigma[order]
-        rots = rots[:, order]
-    else:
-        order = np.argsort(-sigma, axis=1, kind="stable")
-        sigma = np.take_along_axis(sigma, order, axis=1)
-        rots = np.take_along_axis(rots.transpose(0, 2, 1), order[:, :, None], axis=1).transpose(0, 2, 1)
+        # a matrix takes its fill flags as Python floats; max(1, NaN) is NaN, as np.maximum gives
+        order = (-sigma).argsort(kind="stable")
+        sigma = sigma.take(order)
+        rots = rots.T.take(order, 0).T  # column-major, as rots[:, order] is
+        desc = sigma.tolist()
+        cut = SV_ZERO_TOL * (1.0 if not desc or desc[0] <= 1.0 else desc[0])
+        fill = [value <= cut for value in desc]
+        left = np.matmul(part, rots)
+        left /= [1.0 if zero else value for zero, value in zip(fill, desc)]
+        if True in fill:
+            left[:, fill] = 0.0
+        return sigma, rots, left
+    order = np.argsort(-sigma, axis=1, kind="stable")
+    sigma = np.take_along_axis(sigma, order, axis=1)
+    rots = np.take_along_axis(rots.transpose(0, 2, 1), order[:, :, None], axis=1).transpose(0, 2, 1)
     fill = (sigma <= SV_ZERO_TOL * np.maximum(1.0, sigma[..., :1]))[..., None, :]
     left = np.where(fill, 0.0, np.matmul(part, rots) / np.where(fill, 1.0, sigma[..., None, :]))
     return sigma, rots, left
@@ -473,10 +530,13 @@ def svd(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _singular_values_stack(stack: np.ndarray) -> np.ndarray:
     """Descending singular values of a (B, C) matrix or of every matrix in an (N, B, C) stack,
-    from one walk over :func:`_groups` of about _CHUNK_FLOATS entries (a lone matrix is one group)."""
-    sigma = np.empty(stack.shape[:-2] + (min(stack.shape[-2:]),))
-    for mats in _groups(stack, stack.shape[-2] * stack.shape[-1], _CHUNK_FLOATS):
-        sigma[mats] = _jacobi_factors(stack[mats])[2]
+    from one walk over :func:`_groups` of about _CHUNK_FLOATS entries."""
+    if stack.ndim == 2:
+        sigma = _jacobi_factors(stack)[2]
+    else:
+        sigma = np.empty(stack.shape[:-2] + (min(stack.shape[-2:]),))
+        for mats in _groups(stack, stack.shape[-2] * stack.shape[-1], _CHUNK_FLOATS):
+            sigma[mats] = _jacobi_factors(stack[mats])[2]
     return np.sort(sigma, axis=-1)[..., ::-1]
 
 
@@ -513,9 +573,10 @@ def _bnm(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | N
     pass as the singular values: U = A V / sigma on the oriented matrix A,
     re-orthonormalized in descending sigma order, since its error grows as
     sigma_0 / sigma.  Columns of U for a vanishing singular value are
-    completed to an orthonormal basis (a subgradient).  Singular values and
-    polar factors come from one walk over :func:`_groups`, a lone matrix
-    being one group.  A matrix's flag is exact only when consecutive
+    completed to an orthonormal basis (a subgradient).  A stack's singular
+    values and polar factors come from one walk over :func:`_groups`; a
+    lone matrix runs the same steps once, on 2-D arrays, and negates and
+    scales its polar factor in place.  A matrix's flag is exact only when consecutive
     singular values are more than SV_DISTINCT_GAP apart and none is below
     SV_ZERO_TOL, vacuously so without columns; a matrix gets a bool, taken
     in Python floats, and a stack an array of them.
@@ -523,16 +584,20 @@ def _bnm(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | N
     n_rows, n_cols = stack.shape[-2] or _divides_by_zero("bnm", "B"), stack.shape[-1]
     if not want_grad:
         return -_singular_values_stack(stack).sum(axis=-1) / n_rows, None, None
+    if stack.ndim == 2:
+        sigma, rots, left = _sorted_factors(*_jacobi_factors(stack))
+        polar = np.matmul(_orthonormalize_columns(left), rots.T)
+        np.negative(polar, out=polar)
+        polar /= n_rows
+        desc = sigma.tolist()
+        exact = (not desc or desc[-1] > SV_ZERO_TOL) and all(a - b > SV_DISTINCT_GAP for a, b in zip(desc, desc[1:]))
+        return -sigma.sum() / n_rows, (polar.T if n_rows < n_cols else polar), exact
     sigma = np.empty(stack.shape[:-2] + (min(n_rows, n_cols),))
     polar = np.empty(stack.shape[:-2] + (max(n_rows, n_cols), min(n_rows, n_cols)))
     for mats in _groups(stack, n_rows * n_cols, _CHUNK_FLOATS):
         sigma[mats], rots, left = _sorted_factors(*_jacobi_factors(stack[mats]))
         polar[mats] = np.matmul(_orthonormalize_columns(left), rots.swapaxes(-1, -2))
-    if stack.ndim == 2:
-        desc = sigma.tolist()
-        exact = all(a > SV_ZERO_TOL for a in desc[-1:]) and all(a - b > SV_DISTINCT_GAP for a, b in zip(desc, desc[1:]))
-    else:
-        exact = np.all(-np.diff(sigma, axis=1) > SV_DISTINCT_GAP, axis=1) & np.all(sigma[:, -1:] > SV_ZERO_TOL, axis=1)
+    exact = np.all(-np.diff(sigma, axis=1) > SV_DISTINCT_GAP, axis=1) & np.all(sigma[:, -1:] > SV_ZERO_TOL, axis=1)
     values = -sigma.sum(axis=-1) / n_rows
     return values, -(polar.swapaxes(-1, -2) if n_rows < n_cols else polar) / n_rows, exact
 
@@ -566,7 +631,7 @@ def _pair_blocks(part: np.ndarray, grad_rows: np.ndarray | None, r: float, block
     """(pair-term sum, diagonal sum) of each row block of the matrix or group ``part`` that begins at
     one of ``starts``; with ``grad_rows``, the block's rows of W @ P are written there."""
     trans = part.swapaxes(-1, -2)
-    rows = np.arange(part.shape[-2])
+    n_rows = part.shape[-2]
     sums = []
     for start in starts:
         overlap = np.matmul(part[..., start : start + block, :], trans)
@@ -578,8 +643,8 @@ def _pair_blocks(part: np.ndarray, grad_rows: np.ndarray | None, r: float, block
             else:
                 weights = np.zeros_like(overlap)
                 np.power(overlap, r - 1.0, where=overlap > _PAIR_GRAD_FLOOR, out=weights)
-            span = rows[start : start + block]
-            weights[..., span - start, span] = 0.0
+            # W_ii for the block's rows i: every (n_rows + 1)-th entry of each matrix's flat weights
+            weights.reshape(*weights.shape[:-2], -1)[..., start :: n_rows + 1] = 0.0
             np.matmul(weights, part, out=grad_rows[..., start : start + block, :])
         if r == 0.0:
             overlap = overlap > 0.0
@@ -626,10 +691,11 @@ def _nsm(
     lie above _PAIR_GRAD_FLOOR gets W from a plain ``power``; only a block
     with an overlap at or below it takes the masked ``power``, which leaves
     those weights at 0.  Each block's W @ P lands in its rows of the
-    gradient, which is scaled by 2r once after the loop.  The pass walks
-    :func:`_groups` of matrices, a lone matrix being one group, and each
-    matrix gets a lone matrix's row blocks, so each row of a stack's result
-    has a lone matrix's bits.
+    gradient, which is scaled by 2r once after the loop.  A stack's pass
+    walks :func:`_groups` of matrices, and each matrix gets a lone matrix's
+    row blocks, so each row of a stack's result has a lone matrix's bits.
+    A lone matrix runs its blocks directly and adds their sums in numpy
+    scalar math, the operations a stack row's 0-d sums take.
 
     A matrix of more than 1024 rows (_SPLIT_OVERLAPS overlaps) on a host
     where the process may use several CPUs deals its blocks round-robin to
@@ -656,22 +722,29 @@ def _nsm(
         block = max(1, min(n_rows, _CHUNK_FLOATS // max(1, n_rows)))
         starts = range(0, n_rows, block)
         lanes = min(_CPUS, len(starts)) if n_rows * n_rows > _SPLIT_OVERLAPS else 1
-        pair_sum = np.zeros(stack.shape[:-2])
         with_weights = want_grad and r > 0.0
         if want_grad:
             # every row is written below unless r == 0, where the pair term is flat;
             # C order keeps each block's rows a BLAS-ready matmul output for any input layout
             d_pair = np.empty_like(stack, order="C") if with_weights else np.zeros_like(stack, order="C")
-        for mats in _groups(stack, block * n_rows, _PAIR_TILE):
-            task = functools.partial(_pair_blocks, stack[mats], d_pair[mats] if with_weights else None, r, block)
-            part_sum = pair_sum[mats]  # a view: the sums below land in pair_sum
+        if stack.ndim == 2:
+            # a numpy scalar sum, added up as the 0-d sums of a stack's row are, in numpy scalar math
+            pair_sum = 0.0
+            task = functools.partial(_pair_blocks, stack, d_pair if with_weights else None, r, block)
             for pair, diag in _dealt(task, starts, lanes):
-                part_sum += pair
-                part_sum -= diag
+                pair_sum = pair_sum + pair - diag
+        else:
+            pair_sum = np.zeros(stack.shape[:-2])
+            for mats in _groups(stack, block * n_rows, _PAIR_TILE):
+                task = functools.partial(_pair_blocks, stack[mats], d_pair[mats] if with_weights else None, r, block)
+                part_sum = pair_sum[mats]  # a view: the sums below land in pair_sum
+                for pair, diag in _dealt(task, starts, lanes):
+                    part_sum += pair
+                    part_sum -= diag
         if with_weights:
             d_pair *= 2.0 * r
     denom = pair_sum + alpha * squares
-    if np.any(denom < _DENOM_TOL):
+    if (denom < _DENOM_TOL).any():
         raise ZeroDivisionError(
             f"normalized-squares denominator {float(denom.min())!r} below {_DENOM_TOL}"
         )
@@ -679,11 +752,14 @@ def _nsm(
     if d_pair is None:
         return -values, None
     d_squares = 2.0 * stack
-    d_denom = d_pair + alpha * d_squares
-    grads = (
-        d_squares * denom[..., None, None] - squares[..., None, None] * d_denom
-    ) / (denom * denom)[..., None, None] + epsilon * d_squares
-    return -values, -grads
+    d_pair += alpha * d_squares  # now d denom
+    if stack.ndim > 2:  # each matrix's sums broadcast over its entries
+        squares, denom = squares[..., None, None], denom[..., None, None]
+    grads = d_squares * denom
+    grads -= squares * d_pair
+    grads /= denom * denom
+    grads += epsilon * d_squares
+    return -values, np.negative(grads, out=grads)
 
 
 def _ns_stack(stack: np.ndarray, r: float, alpha: float, epsilon: float) -> np.ndarray:

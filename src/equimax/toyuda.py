@@ -13,7 +13,12 @@ Every step is one call of :func:`objective_and_gradients`, the module's one
 step function.  Each epoch gathers its target batch rows once, and each
 source reshuffle its source rows and one-hot labels once; a step slices its
 batches from those.  Each step and each epoch end runs one in-place softmax
-over a buffer holding the source and then the target logits.  The epoch-end
+over a buffer holding the source and then the target logits; its row max is
+a running ``np.maximum`` over the C columns, not a reduction over each short
+row, and a max being exact, the bits are the same.  The weights and the
+bias are the first d rows and the last row of one (d + 1, C) parameter
+block; a step returns its gradients as views of one such block, so the
+momentum update is four in-place operations on whole blocks.  The epoch-end
 target predictions are buffered and scored together, one stacked kernel call
 per metric, with the same bits as scoring each epoch alone.
 
@@ -229,7 +234,17 @@ def _generate(rng: np.random.Generator, config: ToyUdaConfig):
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z -= z.max(axis=1, keepdims=True)
+    """Softmax of each row of ``z``, in place.
+
+    The row max is a running ``np.maximum`` over the columns, which costs
+    less than a reduction over each short row and, a max being exact, gives
+    its bits; the row sum stays a reduction, whose association a
+    column-wise sum would change.
+    """
+    top = np.maximum(z[:, 0], z[:, 1])
+    for col in range(2, z.shape[1]):
+        np.maximum(top, z[:, col], out=top)
+    z -= top[:, None]
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
     return z
@@ -250,6 +265,9 @@ def objective_and_gradients(
     closed form; with lam = 0 the target term contributes nothing.
     ``onehot_src`` holds the source labels as one-hot rows.  With lam > 0
     the source and target logits share one buffer and one in-place softmax.
+    ``grad_w`` and ``grad_b`` are the first d rows and the last row of one
+    (d + 1, C) block, their ``base``, so that :func:`train` updates its
+    parameter block in whole-block operations.
     """
     n_src = x_src.shape[0]
     if loss_cfg.lam > 0.0:
@@ -263,8 +281,10 @@ def objective_and_gradients(
     # p - 1 at the label and p - 0 elsewhere: the same bits as subtracting 1 in place
     delta = probs_src - onehot_src
     delta /= n_src
-    grad_w = x_src.T @ delta
-    grad_b = delta.sum(axis=0)
+    grads = np.empty((weights.shape[0] + 1, weights.shape[1]))
+    grad_w, grad_b = grads[:-1], grads[-1]
+    np.matmul(x_src.T, delta, out=grad_w)
+    delta.sum(axis=0, out=grad_b)
     lt = 0.0
     if loss_cfg.lam > 0.0:
         probs_tgt = probs[n_src:]
@@ -301,10 +321,10 @@ def train(config: ToyUdaConfig) -> ToyUdaResult:
     onehot = np.eye(config.classes)[ys]
     label_at = np.arange(n_src) * config.classes + ys  # flat index of each source label's entry
     size = config.batch_size
-    weights = np.zeros((config.features, config.classes))
-    bias = np.zeros(config.classes)
-    vel_w = np.zeros_like(weights)
-    vel_b = np.zeros_like(bias)
+    params = np.zeros((config.features + 1, config.classes))  # the weights over the bias
+    weights, bias = params[:-1], params[-1]
+    velocity = np.zeros_like(params)
+    momentum, rate, loss = config.momentum, config.learning_rate, config.loss
     epoch_probs = np.empty((n_src + n_tgt, config.classes))  # source then target rows at an epoch's end
     steps = -(-n_tgt // config.batch_size)
     ce_hist = np.empty(config.epochs)
@@ -312,7 +332,6 @@ def train(config: ToyUdaConfig) -> ToyUdaResult:
     acc_hist = np.empty(config.epochs)
     eq_hist = np.empty(config.epochs)
     disc_hist = np.empty(config.epochs)
-    loss = config.loss
     eps = loss.resolved_epsilon(n_tgt, config.classes)
     pending = np.empty((min(config.epochs, max(1, _CHUNK_FLOATS // (n_tgt * config.classes))), n_tgt, config.classes))
     filled = 0
@@ -337,14 +356,13 @@ def train(config: ToyUdaConfig) -> ToyUdaResult:
                     src_cursor = 0
                 src = slice(src_cursor, src_cursor + size)
                 src_cursor += size
-                _, _, grad_w, grad_b = objective_and_gradients(
-                    weights, bias, xs_perm[src], onehot_perm[src], xt_epoch[k * size : (k + 1) * size], config.loss
-                )
-                for vel, grad, param in ((vel_w, grad_w, weights), (vel_b, grad_b, bias)):
-                    vel *= config.momentum
-                    grad *= config.learning_rate
-                    vel -= grad
-                    param += vel
+                grad = objective_and_gradients(
+                    weights, bias, xs_perm[src], onehot_perm[src], xt_epoch[k * size : (k + 1) * size], loss
+                )[2].base  # the gradient block
+                velocity *= momentum
+                grad *= rate
+                velocity -= grad
+                params += velocity
             np.matmul(xs, weights, out=epoch_probs[:n_src])
             np.matmul(xt, weights, out=epoch_probs[n_src:])
             epoch_probs += bias

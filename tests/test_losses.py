@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import math
 import multiprocessing
+import sys
 import threading
 
 import numpy as np
@@ -337,6 +338,108 @@ class TestJacobiEngine:
             loss_value(mat, LossConfig("bnm"))
             losses.gradient(mat, LossConfig("bnm"))
             losses._singular_values_stack(mat[None])
+
+
+def _one_hot_rows(rng, n_rows, n_cols):
+    return np.eye(n_cols)[rng.integers(0, n_cols, n_rows)]
+
+
+def _signed_zeros(rng, n_rows, n_cols):
+    """One-hot rows with -0.0 for every zero, and a random row."""
+    mat = np.where(_one_hot_rows(rng, n_rows, n_cols) == 1.0, 1.0, -0.0)
+    mat[-1] = random_matrix(rng, 1, n_cols)
+    return mat
+
+
+ONE_PAIR_MAKERS = [random_matrix, _rank_one, _zero_column, _one_hot_rows, _signed_zeros]
+
+
+class TestLoneOnePairRounds:
+    """A lone matrix of 2 or 3 columns: every round holds one pair, rotated with the 1-D einsum."""
+
+    @pytest.mark.parametrize("n_rows", [2, 10, 30, 60])
+    @pytest.mark.parametrize("n_cols", [2, 3])
+    @pytest.mark.parametrize("make", ONE_PAIR_MAKERS)
+    def test_rounds_match_stack_rounds(self, rng, monkeypatch, n_rows, n_cols, make):
+        pairs_seen = []
+        lone_round = losses._rotate_lone_round
+        monkeypatch.setattr(
+            losses, "_rotate_lone_round", lambda *a: pairs_seen.append(len(a[3])) or lone_round(*a)
+        )
+        mat = make(rng, n_rows, n_cols)
+        oriented = mat if n_rows >= n_cols else mat.T
+        n = oriented.shape[1]
+        alone = oriented.copy()
+        rots, sweeps = losses._jacobi_orthogonalize(alone, max_sweeps=100 * n)
+        assert pairs_seen == [1] * (sweeps * len(losses._round_robin(n)))
+        pair = np.stack([oriented, oriented])
+        pair_rots, pair_sweeps = losses._jacobi_orthogonalize(pair, max_sweeps=100 * n)
+        assert sweeps == pair_sweeps
+        assert rots.shape == (n, n) and rots.tobytes() == pair_rots[0].tobytes()
+        assert alone.tobytes() == pair[0].tobytes()
+
+    @pytest.mark.parametrize("n_rows", [2, 10, 30, 60])
+    @pytest.mark.parametrize("n_cols", [2, 3])
+    @pytest.mark.parametrize("make", ONE_PAIR_MAKERS)
+    def test_bnm_matches_stack_rows(self, rng, n_rows, n_cols, make):
+        mat = make(rng, n_rows, n_cols)
+        value, grad, exact = losses._bnm(mat, True)
+        values, grads, flags = losses._bnm(np.stack([mat, mat]), True)
+        assert value.tobytes() == values[0].tobytes()
+        assert grad.shape == mat.shape and grad.tobytes() == grads[0].tobytes()
+        assert exact is bool(flags[0])
+        assert losses._bnm(mat, False)[0].tobytes() == value.tobytes()
+
+    @pytest.mark.parametrize("n_cols", [2, 3])
+    @pytest.mark.parametrize("case", ["overflow", "nan"])
+    def test_a_pair_with_a_nan_threshold_is_skipped_alike(self, monkeypatch, n_cols, case):
+        # overflow: column 0's squared norm is inf and column 1's underflows to 0, so the
+        # threshold of their pair is sqrt(inf * 0) = NaN; nan: a NaN entry makes the norms,
+        # the floor and the inner products NaN.  No pair is rotated either way.
+        turned = []
+        lone_round = losses._rotate_lone_round
+        monkeypatch.setattr(losses, "_rotate_lone_round", lambda *a: turned.append(lone_round(*a)) or turned[-1])
+        mat = np.array([[1e300, 1e-200, 0.5], [1e300, 0.0, 0.25], [1e300, 0.0, 0.125], [1e300, 0.0, 1.0]])[:, :n_cols]
+        if case == "nan":
+            mat[0, 0] = math.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            alone = mat.copy()
+            rots, sweeps = losses._jacobi_orthogonalize(alone, max_sweeps=100 * n_cols)
+            pair = np.stack([mat, mat])
+            pair_rots, pair_sweeps = losses._jacobi_orthogonalize(pair, max_sweeps=100 * n_cols)
+        assert turned == [False] * len(losses._round_robin(n_cols)) and sweeps == pair_sweeps == 1
+        assert rots.tobytes() == pair_rots[0].tobytes() == np.eye(n_cols).tobytes()
+        assert alone.tobytes() == pair[0].tobytes() == mat.tobytes()
+
+    def test_threads_each_get_their_own_bits(self, rng):
+        # the scratch arrays of a call are its own: four threads, more than the cores of a small
+        # host, decompose matrices of different shapes at once with a short switch interval
+        mats = [random_matrix(rng, *shape) for shape in ((30, 3), (10, 3), (60, 2), (2, 3))]
+        want = [losses._bnm(mat, True) for mat in mats]
+        got = [[] for _ in mats]
+        barrier = threading.Barrier(len(mats))
+
+        def work(k):
+            barrier.wait(timeout=10)
+            for _ in range(150):
+                got[k].append(losses._bnm(mats[k], True))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(mats))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for results, (value, grad, exact) in zip(got, want):
+            assert len(results) == 150
+            for got_value, got_grad, got_exact in results:
+                assert got_value.tobytes() == value.tobytes() and got_grad.tobytes() == grad.tobytes()
+                assert got_exact is exact
 
 
 class TestNuclearNorm:

@@ -287,6 +287,32 @@ class TestGenerate:
             assert np.array_equal(x, y)
 
 
+def row_max_softmax(z):
+    """Row softmax with the row max taken by one reduction over each row."""
+    z = np.array(z, dtype=float)
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
+class TestSoftmax:
+    @pytest.mark.parametrize("n_cols", [2, 3, 5])
+    def test_same_bytes_as_the_row_max_form(self, rng, n_cols):
+        inf, nan = math.inf, math.nan
+        special = [
+            [1.0, 1.0, 0.0], [2.0, 2.0, 2.0], [-0.0, 0.0, -1.0], [0.0, -0.0, -0.0],  # ties
+            [inf, 0.0, 1.0], [-inf, 0.0, 1.0], [-inf, -inf, 0.0], [inf, inf, 0.0], [-inf, -inf, -inf],
+            [1e308, -1e308, 5.0], [nan, 0.0, 1.0], [0.0, nan, nan],  # a NaN row: a diverged step
+        ]
+        rows = [(row * 2)[:n_cols] for row in special]
+        logits = np.vstack([rows, 30.0 * rng.standard_normal((60, n_cols))])
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = softmax(logits), row_max_softmax(logits)
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[len(special) - 2]).all()
+
+
 class TestObjective:
     def test_theta_gradients_match_finite_differences(self, rng):
         xs, ys, xt, _ = generate(SMALL)
@@ -455,6 +481,39 @@ class TestTrain:
             train(cfg)
         if later == "step":
             assert len(steps) > 3  # the injected step failure fired
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_calls_the_traced_seams(self, monkeypatch, kind, lam):
+        # the benchmark's tracer wraps these three names; a default run of 40 epochs takes
+        # 4 steps of 30 target rows an epoch, and each bnm step decomposes its batch once
+        calls = {"step": 0, "gradient": 0, "jacobi": [], "step_jacobi": []}
+        step, grad, jacobi = toyuda.objective_and_gradients, toyuda.gradient, losses._jacobi_orthogonalize
+
+        def counted_step(*args):
+            calls["step"] += 1
+            return step(*args)
+
+        def counted_gradient(*args):
+            calls["gradient"] += 1
+            before = len(calls["jacobi"])
+            out = grad(*args)
+            calls["step_jacobi"].append(len(calls["jacobi"]) - before)
+            return out
+
+        monkeypatch.setattr(toyuda, "objective_and_gradients", counted_step)
+        monkeypatch.setattr(toyuda, "gradient", counted_gradient)
+        monkeypatch.setattr(
+            losses, "_jacobi_orthogonalize", lambda mats, **k: calls["jacobi"].append(mats.ndim) or jacobi(mats, **k)
+        )
+        cfg = ToyUdaConfig(epochs=40, loss=LossConfig(kind, lam=lam))
+        got = json.dumps(train(cfg).to_dict(), sort_keys=True)
+        assert calls["step"] == 160
+        assert calls["gradient"] == (160 if lam else 0)
+        assert calls["step_jacobi"] == ([1] * 160 if kind == "bnm" and lam else [0] * calls["gradient"])
+        # besides the steps' lone matrices, bnm scores its 40 epochs as one (40, 100, 3) stack
+        assert calls["jacobi"] == ([2] * (160 if lam else 0) + [3] if kind == "bnm" else [])
+        assert got == json.dumps(reference_train(cfg).to_dict(), sort_keys=True)
 
     def test_momentum_variant_runs(self):
         res = train(replace(SMALL, momentum=0.9, learning_rate=0.02))
