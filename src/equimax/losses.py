@@ -607,8 +607,9 @@ def _cwsm(stack: np.ndarray, r: float, want_grad: bool) -> tuple[np.ndarray, np.
     n_cols = stack.shape[-1] or _divides_by_zero("cwsm", "C")
     sq_mass = np.einsum("...bc,...bc->...c", stack, stack)
     size = stack.sum(axis=-2)
-    if size.size and size.min() > 0.0:
-        # no empty class: plain ufuncs, same bits as the masked ones below
+    # no empty class: plain ufuncs, same bits as the masked ones, in both halves
+    full = size.size and size.min() > 0.0
+    if full:
         pow_r = np.power(size, r)
         terms = sq_mass / pow_r
     else:
@@ -619,11 +620,14 @@ def _cwsm(stack: np.ndarray, r: float, want_grad: bool) -> tuple[np.ndarray, np.
     values = -terms.sum(axis=-1) / n_cols
     if not want_grad:
         return values, None
-    pos = size > 0.0
     # d cws / dP_ic = (2 P_ic / size_c^r - r * sq_mass_c / size_c^(r+1)) / C
-    coef_lin = np.where(pos, 1.0 / pow_r, 0.0)
-    coef_const = np.zeros_like(size)
-    np.divide(r * terms, size, where=pos, out=coef_const)
+    if full:
+        coef_lin = 1.0 / pow_r
+        coef_const = r * terms / size
+    else:
+        coef_lin = np.where(pos, 1.0 / pow_r, 0.0)
+        coef_const = np.zeros_like(size)
+        np.divide(r * terms, size, where=pos, out=coef_const)
     return values, -(2.0 * stack * coef_lin[..., None, :] - coef_const[..., None, :]) / n_cols
 
 

@@ -6,8 +6,15 @@ re-projects row by row.  A step is accepted when it lowers the objective
 by at most 1e-10 (``ACCEPT_TOL``), so decreases that small are accepted
 along with gains; a step that lowers it by more is retried with a halved
 step.  The halving also absorbs non-ascent subgradient proposals from the
-nuclear-norm loss.  Every ``POLISH_EVERY`` steps each active start is
-polished, and every start once more at the end: its rows snap to their
+nuclear-norm loss.  A step makes one loss-kernel call: the full-step
+candidates are scored together with their gradients, and a start that
+takes its candidate keeps that gradient for its next step.  The halved
+steps of the starts left over are scored in stacked rungs of depths 1,
+2-3, 4-7, ..., each start taking its first acceptable depth, as a
+one-depth-at-a-time ladder would.  A rung holds at most the larger of
+2**16 and inits * B * C entries, or one start's rung, and is scored a few
+starts at a time beyond that.  Every ``POLISH_EVERY`` steps each active
+start is polished, and every start once more at the end: its rows snap to their
 argmax corners, and a steepest single-row relabel search then climbs over
 one-hot vertices, scoring each move by its class sizes alone.  The start
 takes the vertex it ends on when that does not lower its value by more
@@ -42,6 +49,9 @@ POLISH_EVERY = 25
 RETIRE_REASONS = ("converged", "no improving step", "step cap")
 SURFACE_ARGMAX_TOL = 1e-6
 _PROFILE_OFFSETS = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)
+# entries one stacked rung of the halving ladder may hold, at least; a rung
+# over more starts than the larger of this and inits * B * C is scored in parts
+_RUNG_FLOATS = 2**16
 
 
 @dataclass(frozen=True)
@@ -88,8 +98,19 @@ def maximize(
     """Maximize the negated loss over the product of row simplices.
 
     Deterministic for a fixed seed.  All starts advance in lockstep as one
-    (inits, B, C) stack.  Every ``POLISH_EVERY`` steps the active starts get
-    a value-guarded vertex polish, and so does every final iterate: rows
+    (inits, B, C) stack.  A step scores its full-step candidates with their
+    gradients in one kernel call (``_loss_grads_stack``), and a start that
+    moves there keeps the gradient for its next step; a start without one
+    (it moved to a polished vertex or along the halving ladder) gets it in
+    one call for all such starts at the start of the next step.  Depths 1
+    to ``MAX_HALVINGS`` of the ladder are scored for the starts still
+    pending in stacked rungs of depths 1, 2-3, 4-7, ... (``_loss_values_stack``),
+    each of at most max(inits * B * C, 2**16) entries, or one start's rung,
+    and each start takes its first acceptable depth.  The kernels give a
+    matrix the same value bits with and without gradients and whatever stack
+    it is in, so the result equals that of one kernel call per depth.
+    Every ``POLISH_EVERY`` steps the active starts get a value-guarded
+    vertex polish, and so does every final iterate: rows
     snap to their argmax corner, single rows are relabelled while that
     raises the value (``_relabel_ascent``), and the vertex replaces the
     iterate when its value is not lower.  A start retires when
@@ -110,11 +131,19 @@ def maximize(
     eps = loss_cfg.resolved_epsilon(n_rows, n_cols)
     kind, r, alpha = loss_cfg.kind, loss_cfg.r, loss_cfg.alpha
     points = rng.dirichlet(np.ones(n_cols), size=(cfg.inits, n_rows))
-    values = -_loss_values_stack(kind, points, r, alpha, eps)
+    losses, grads = _loss_grads_stack(kind, points, r, alpha, eps)
+    values = -losses
+    uphill = -grads  # each start's ascent direction, valid where ``known``
+    known = np.ones(cfg.inits, dtype=bool)
     active = np.ones(cfg.inits, dtype=bool)
     accepted = np.zeros(cfg.inits, dtype=int)
     reasons = np.full(cfg.inits, "step cap", dtype=object)
     halving_events = 0
+    ladder = [cfg.step_size]
+    for _ in range(MAX_HALVINGS):
+        ladder.append(ladder[-1] / 2.0)
+    ladder = np.array(ladder)
+    rung_floats = max(cfg.inits * n_rows * n_cols, _RUNG_FLOATS)
 
     def polish(rows_sel: np.ndarray) -> None:
         # Snap each row to its argmax corner, then relabel single rows while
@@ -132,59 +161,77 @@ def maximize(
         keep = vertex_vals >= values[rows_sel] - ACCEPT_TOL
         points[rows_sel[keep]] = vertices[keep]
         values[rows_sel[keep]] = vertex_vals[keep]
+        known[rows_sel[keep]] = False
 
     def retire(sel: np.ndarray, reason: str) -> None:
         active[sel] = False
         reasons[sel] = reason
 
+    def settle(sel, current, ok, chosen, chosen_vals) -> np.ndarray:
+        # The starts of ``sel`` marked ``ok`` move to their ``chosen``
+        # candidate, unless it equals the iterate: a null move (no step is
+        # left on the arc), which retires the start.  Returns the movers' mask.
+        null = ok & (chosen == current).all(axis=(1, 2))
+        if null.any():
+            retire(sel[null], "no improving step")
+        took = ok & ~null
+        moving = sel[took]
+        points[moving] = chosen[took]
+        values[moving] = chosen_vals[took]
+        accepted[moving] += 1
+        return took
+
     for outer in range(cfg.steps):
         if outer and outer % POLISH_EVERY == 0:
             polish(np.nonzero(active)[0])
-        if not active.any():
-            break
         idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        stale = idx[~known[idx]]
+        if stale.size:
+            uphill[stale] = -_loss_grads_stack(kind, points[stale], r, alpha, eps)[1]
+            known[stale] = True
         current = points[idx]
         cur_vals = values[idx]
-        _, grads = _loss_grads_stack(kind, current, r, alpha, eps)
-        direction = -grads
+        direction = uphill[idx]
         candidate = project_rows(current + cfg.step_size * direction)
         moved = np.linalg.norm((candidate - current).reshape(idx.size, -1), axis=1)
         converged = moved / cfg.step_size < TOL_GRAD
-        retire(idx[converged], "converged")
-        cand_vals = -_loss_values_stack(kind, candidate, r, alpha, eps)
-        pending = ~converged
-        step = np.full(idx.size, cfg.step_size)
-        halved = np.zeros(idx.size, dtype=bool)
-        for depth in range(MAX_HALVINGS + 1):
-            if not pending.any():
-                break
-            ok = pending & (cand_vals >= cur_vals - ACCEPT_TOL)
-            null = ok & (candidate == current).all(axis=(1, 2))  # a null move: no step is left on the arc
-            retire(idx[null], "no improving step")
-            ok &= ~null
-            pending &= ~null
-            if ok.any():
-                sel = idx[ok]
-                points[sel] = candidate[ok]
-                values[sel] = cand_vals[ok]
-                accepted[sel] += 1
-                pending &= ~ok
-            if not pending.any():
-                break
-            if depth == MAX_HALVINGS:
-                # no improving step at any scale: a local maximum of the
-                # projection arc, so this start is finished
-                retire(idx[pending], "no improving step")
-                break
-            halved |= pending
-            step[pending] /= 2.0
-            candidate[pending] = project_rows(
-                current[pending] + step[pending][:, None, None] * direction[pending]
-            )
-            cand_vals[pending] = -_loss_values_stack(
-                kind, candidate[pending], r, alpha, eps
-            )
-        halving_events += int(halved.sum())
+        if converged.any():
+            retire(idx[converged], "converged")
+        # depth 0: the candidates' values and gradients from one kernel call;
+        # a converged start's candidate is scored too and left unused
+        losses, grads = _loss_grads_stack(kind, candidate, r, alpha, eps)
+        cand_vals = -losses
+        ok = (cand_vals >= cur_vals - ACCEPT_TOL) & ~converged
+        took = settle(idx, current, ok, candidate, cand_vals)
+        uphill[idx[took]] = -grads[took]
+        pending = np.nonzero(~(ok | converged))[0]  # positions in idx
+        halving_events += pending.size
+        # depths 1..MAX_HALVINGS in rungs 1, 2-3, 4-7, ...; a start settles at
+        # its first acceptable depth, as a one-depth-at-a-time ladder would
+        lo = 1
+        while pending.size and lo <= MAX_HALVINGS:
+            steps = ladder[lo : min(2 * lo, MAX_HALVINGS + 1)]
+            per = max(1, rung_floats // (steps.size * n_rows * n_cols))
+            left = []
+            for first in range(0, pending.size, per):
+                part = pending[first : first + per]
+                cands = project_rows(current[part][:, None] + steps[:, None, None] * direction[part][:, None])
+                flat = cands.reshape(-1, n_rows, n_cols)
+                rung_vals = -_loss_values_stack(kind, flat, r, alpha, eps).reshape(part.size, -1)
+                ok = rung_vals >= cur_vals[part][:, None] - ACCEPT_TOL
+                hit = ok.any(axis=1)
+                at = (np.arange(part.size), ok.argmax(axis=1))
+                took = settle(idx[part], current[part], hit, cands[at], rung_vals[at])
+                known[idx[part[took]]] = False
+                left.append(part[~hit])
+            pending = np.concatenate(left)
+            lo *= 2
+        if pending.size:
+            # no improving step at any scale: a local maximum of the
+            # projection arc, so these starts are finished
+            retire(idx[pending], "no improving step")
 
     polish(np.arange(cfg.inits))
 

@@ -612,9 +612,11 @@ class TestCws:
             assert abs(cws(mat, r) - expect) <= 1e-12
 
     def test_kernel_bits_match_masked_formula(self, rng):
-        # the kernel skips the empty-class masks when every class has mass, and
-        # cws hands it a matrix rather than a stack; every route must give the
-        # bits of the masked ufuncs on the stack
+        # the kernel skips the empty-class masks in its value and gradient
+        # halves when every class has mass, and cws hands it a matrix rather
+        # than a stack; every route must give the bits of the masked ufuncs on
+        # the stack, for a stack with empty classes, one without, and each of
+        # their matrices alone
         def masked(stack, r):
             size = stack.sum(axis=1)
             pos = size > 0.0
@@ -631,16 +633,21 @@ class TestCws:
             stacks.append(random_matrix(rng, n_rows, n_cols)[None])
             stacks.append(rng.random((2, n_rows, n_cols)) * 10.0 ** rng.uniform(-6, 6))
         stacks.append(np.asfortranarray(random_matrix(rng, 30, 5))[None])
+        # one matrix with an empty class (a -0.0 column) and one without, stacked
+        mixed = rng.dirichlet(np.ones(4), size=(2, 6))
+        mixed[1, :, 2] = -0.0
+        stacks.append(mixed / mixed.sum(axis=2, keepdims=True))
         for stack in stacks:
             for r in (0.0, 0.3, 0.5, 1.0):
                 values, grads = losses._cwsm(stack, r, True)
                 expect_values, expect_grads = masked(stack, r)
                 assert values.tobytes() == expect_values.tobytes(), (stack.shape, r)
                 assert grads.tobytes() == expect_grads.tobytes(), (stack.shape, r)
-                value, grad = losses._cwsm(stack[0], r, True)
-                assert value.tobytes() == expect_values[0].tobytes(), (stack.shape, r)
-                assert grad.tobytes() == expect_grads[0].tobytes(), (stack.shape, r)
-                assert cws(stack[0], r) == -float(expect_values[0])
+                for idx, mat in enumerate(stack):
+                    value, grad = losses._cwsm(mat, r, True)
+                    assert value.tobytes() == expect_values[idx].tobytes(), (stack.shape, r, idx)
+                    assert grad.tobytes() == expect_grads[idx].tobytes(), (stack.shape, r, idx)
+                    assert cws(mat, r) == -float(expect_values[idx])
 
     def test_r_range(self):
         with pytest.raises(ValueError):
@@ -1014,6 +1021,36 @@ class TestStackRowsMatchLoneCalls:
             assert losses.gradient(mat, cfg).exact is flag, make.__name__
             # only bnm's rank-deficient matrices get a subgradient
             assert flag is (kind != "bnm" or make is random_matrix), make.__name__
+
+
+class TestValuesWithoutGradients:
+    """A kernel's values have the same bits whether or not it also returns gradients.
+
+    The ascent scores a step's first candidates together with their
+    gradients and compares those values with ones scored without.
+    """
+
+    @staticmethod
+    def _matrices(rng):
+        for n_rows, n_cols in ((1, 2), (2, 2), (3, 4), (6, 5), (12, 10), (40, 3)):
+            hot = np.eye(n_cols)[rng.integers(0, n_cols, (2, n_rows))]
+            yield random_matrix(rng, n_rows, n_cols)
+            yield hot[0]
+            yield np.where(hot[1] == 1.0, 1.0, -0.0)
+            yield _zero_column(rng, n_rows, n_cols)
+            yield _rank_one(rng, n_rows, n_cols)
+            yield _duplicate_columns(rng, n_rows, n_cols)
+
+    @pytest.mark.parametrize("r", [0.0, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+    def test_same_value_bytes(self, rng, kind, r):
+        mats = list(self._matrices(rng))
+        stacks = [np.stack(mats[first : first + 6]) for first in range(0, len(mats), 6)]
+        stacks.append(rng.dirichlet(np.full(4, 0.2), size=(300, 7)))
+        for arr in mats + stacks:
+            alone = losses._loss_stack(kind, arr, r, 1.0, 1e-6, False)[0]
+            with_grads = losses._loss_stack(kind, arr, r, 1.0, 1e-6, True)[0]
+            assert alone.tobytes() == with_grads.tobytes(), (kind, r, arr.shape)
 
 
 class TestMetrics:

@@ -18,6 +18,8 @@ from equimax.optimizer import (
 )
 from equimax.probmat import class_sizes, is_one_hot_rows, one_hot_matrix, read_array_csv, validate
 
+from ascent_reference import compare
+
 FAST = AscentConfig(inits=24, steps=400)
 
 CORNERS = {"P1": (0.0, 0.0), "P2": (1.0, 0.0), "P3": (0.0, 1.0), "P4": (1.0, 1.0)}
@@ -42,15 +44,19 @@ class TestMaximize:
         assert sorted(np.round(class_sizes(res.best_matrix)).astype(int)) == [2, 2]
 
     def test_iterates_stay_feasible(self, monkeypatch):
-        # every iterate, candidate and polished vertex is scored, so the spy sees each of them
+        # every start, candidate and polished vertex is scored by one of the two
+        # kernels, so the spies see each of them; the starts come first
         scored = []
-        values = optimizer._loss_values_stack
 
-        def spy(kind, stack, *args):
-            scored.append(stack.copy())
-            return values(kind, stack, *args)
+        def spy(kernel):
+            def scoring(kind, stack, *args):
+                scored.append(stack.copy())
+                return kernel(kind, stack, *args)
 
-        monkeypatch.setattr(optimizer, "_loss_values_stack", spy)
+            return scoring
+
+        for name in ("_loss_values_stack", "_loss_grads_stack"):
+            monkeypatch.setattr(optimizer, name, spy(getattr(optimizer, name)))
         res = maximize(LossConfig("nsm", r=1.0, alpha=1.0, epsilon=0.0), 3, 2, FAST)
         assert scored[0].shape == (FAST.inits, 3, 2)
         for stack in scored:
@@ -59,21 +65,35 @@ class TestMaximize:
         validate(res.best_matrix)
 
     def test_monotone_histories(self, monkeypatch):
-        # with one start, every gradient call is handed that start's accepted
-        # (or polished) iterate, so the spy sees its value step by step
+        # a step projects its iterate plus step_size times the ascent direction
+        # that a gradient call returned at that iterate; with one start,
+        # matching each depth-0 projection against the gradient calls' matrices
+        # recovers the step's iterate, so the spies see its value step by step
         grads = optimizer._loss_grads_stack
+        project = optimizer.project_rows
 
-        def spy(kind, stack, r, alpha, eps):
-            hist.append(float(-_loss_values_stack(kind, stack, r, alpha, eps)[0]))
-            return grads(kind, stack, r, alpha, eps)
+        def grad_spy(kind, stack, r, alpha, eps):
+            losses, stack_grads = grads(kind, stack, r, alpha, eps)
+            seen.extend(zip(stack.copy(), -losses, -stack_grads))
+            return losses, stack_grads
 
-        monkeypatch.setattr(optimizer, "_loss_grads_stack", spy)
-        for cfg in (LossConfig("ms"), LossConfig("cwsm", r=0.5), LossConfig("nsm", r=0.5)):
-            for seed in range(8):
-                hist = []
-                maximize(cfg, 3, 3, AscentConfig(inits=1, steps=150, seed=seed))
-                assert len(hist) >= 2
-                assert np.diff(hist).min() >= -1e-10
+        def project_spy(rows):
+            if rows.ndim == 3:  # depth 0: one (1, B, C) iterate plus a full step
+                at = [v for mat, v, up in seen if np.array_equal(mat + step_size * up, rows[0])]
+                assert at, "no gradient call saw this step's iterate"
+                hist.append(float(at[-1]))
+            return project(rows)
+
+        monkeypatch.setattr(optimizer, "_loss_grads_stack", grad_spy)
+        monkeypatch.setattr(optimizer, "project_rows", project_spy)
+        # at step size 0.5 nsm needs halvings from four of these seeds
+        for step_size in (0.05, 0.5):
+            for cfg in (LossConfig("ms"), LossConfig("cwsm", r=0.5), LossConfig("nsm", r=0.5)):
+                for seed in range(8):
+                    seen, hist = [], []
+                    maximize(cfg, 3, 3, AscentConfig(inits=1, steps=150, step_size=step_size, seed=seed))
+                    assert len(hist) >= 2
+                    assert np.diff(hist).min() >= -optimizer.ACCEPT_TOL
 
     def test_deterministic_for_fixed_seed(self, monkeypatch):
         a = maximize(LossConfig("cwsm", r=0.5), 4, 3, FAST)
@@ -82,17 +102,17 @@ class TestMaximize:
         assert a.best_value == b.best_value
         assert np.array_equal(a.final_values, b.final_values)
         assert np.array_equal(a.accepted_steps, b.accepted_steps)
-        # the first stack a run scores is its starts, which the seed draws
-        values = optimizer._loss_values_stack
+        # the first stack a run scores, with its gradients, is its starts, which the seed draws
+        grads = optimizer._loss_grads_stack
 
         def starts(seed):
             scored = []
 
             def spy(kind, stack, *args):
                 scored.append(stack.copy())
-                return values(kind, stack, *args)
+                return grads(kind, stack, *args)
 
-            monkeypatch.setattr(optimizer, "_loss_values_stack", spy)
+            monkeypatch.setattr(optimizer, "_loss_grads_stack", spy)
             maximize(LossConfig("cwsm", r=0.5), 4, 3, AscentConfig(inits=24, steps=1, seed=seed))
             return scored[0]
 
@@ -162,6 +182,37 @@ class TestRetire:
     def test_step_cap_reason(self):
         res = maximize(LossConfig("nsm", r=1.0, epsilon=0.0), 3, 3, AscentConfig(inits=4, steps=10))
         assert res.retire_reasons == ["step cap"] * 4
+
+
+class TestAgainstSequentialHalving:
+    """``maximize`` scores its halving ladder in stacked rungs; the reference
+    (``ascent_reference``) halves one depth per kernel call.  Every field of
+    the result has the same bytes."""
+
+    CASES = [
+        (LossConfig("nsm", r=0.5), 3, 4, AscentConfig()),  # starts end after MAX_HALVINGS halvings
+        (LossConfig("nsm", r=0.5), 6, 5, AscentConfig()),  # null moves
+        (LossConfig("nsm", r=0.5), 12, 10, AscentConfig()),
+        (LossConfig("nsm", r=0.5), 3, 3, AscentConfig(inits=8, steps=150, step_size=0.5)),
+        (LossConfig("nsm", r=0.25, epsilon=1e-6), 5, 3, AscentConfig(inits=16, steps=300, seed=3)),
+        (LossConfig("bnm"), 4, 3, AscentConfig()),
+        (LossConfig("bnm"), 4, 3, AscentConfig(inits=48, steps=600, seed=5)),
+        (LossConfig("cwsm", r=0.5), 5, 4, AscentConfig()),
+        (LossConfig("cwsm", r=0.25), 4, 6, AscentConfig(inits=16, steps=300, seed=11)),
+        (LossConfig("ms"), 3, 2, AscentConfig(inits=8, steps=100)),
+    ]
+
+    def test_same_result_bytes(self):
+        count, mismatches, paths = compare(self.CASES)
+        assert (count, mismatches) == (len(self.CASES), [])
+        # the grid reaches both ways a ladder ends without a step
+        assert paths["null_moves"] > 0 and paths["ladder_ends"] > 0
+
+    def test_same_result_bytes_in_split_rungs(self, monkeypatch):
+        # a rung over more than inits * B * C entries is scored a few starts at a time
+        monkeypatch.setattr(optimizer, "_RUNG_FLOATS", 1)
+        count, mismatches, _ = compare(self.CASES[:4])
+        assert (count, mismatches) == (4, [])
 
 
 class TestRelabelSearch:
