@@ -21,21 +21,16 @@ import numpy as np
 from . import losses, oracle, optimizer, probmat, toyuda
 from .losses import LossConfig
 
-_EPSILON_HELP = "epsilon for the normalized-squares loss; a number or 'auto'"
-
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
 def _parse_epsilon(text: str):
-    if text == "auto":
-        return "auto"
     try:
-        value = float(text)
+        return text if text == losses.EPSILON_AUTO else float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"epsilon must be a number or 'auto', got {text!r}")
-    return value
 
 
 def _read_input(path: str, renormalize: bool = False) -> np.ndarray:
@@ -48,9 +43,7 @@ def _read_input(path: str, renormalize: bool = False) -> np.ndarray:
 def _cmd_eval(args) -> int:
     mat = _read_input(args.input, args.renormalize)
     n_rows, n_cols = mat.shape
-    eps = LossConfig("nsm", r=args.r, alpha=args.alpha, epsilon=args.epsilon).resolved_epsilon(
-        n_rows, n_cols
-    )
+    eps = LossConfig("nsm", r=args.r, alpha=args.alpha, epsilon=args.epsilon).resolved_epsilon(n_rows, n_cols)
     cws_val = losses.cws(mat, args.r)
     ns_val = losses.ns(mat, args.r, args.alpha, eps)
     bnm_val = losses.bnm(mat)
@@ -131,9 +124,7 @@ def _cmd_surface(args) -> int:
 
 def _cmd_optimize(args) -> int:
     cfg = LossConfig(args.loss, r=args.r, alpha=args.alpha, epsilon=args.epsilon)
-    ascent = optimizer.AscentConfig(
-        inits=args.inits, steps=args.steps, step_size=args.lr, seed=args.seed
-    )
+    ascent = optimizer.AscentConfig(inits=args.inits, steps=args.steps, step_size=args.lr, seed=args.seed)
     result = optimizer.maximize(cfg, args.b, args.c, ascent)
     print(f"best value (negated loss): {_fmt(result.best_value)}")
     print("best matrix:")
@@ -154,12 +145,6 @@ def _check_keys(where: str, obj, allowed: list[str]) -> None:
         raise ValueError(f"unknown key(s) {unknown} in {where}, expected some of {allowed}")
 
 
-def _loss_number(key: str, value) -> float:
-    # the rule ToyUdaConfig applies to its own number fields
-    toyuda._check_number(f"{key!r} in config key 'loss'", value)
-    return float(value)
-
-
 def _cmd_toyuda(args) -> int:
     overrides = {}
     if args.config:
@@ -170,14 +155,7 @@ def _cmd_toyuda(args) -> int:
     _check_keys("the toyuda config", overrides, fields)
     loss_over = overrides.pop("loss", {})
     _check_keys("config key 'loss'", loss_over, ["r", "alpha", "epsilon"])
-    epsilon = loss_over.get("epsilon", "auto")
-    loss_cfg = LossConfig(
-        args.loss,
-        r=_loss_number("r", loss_over.get("r", 0.5)),
-        alpha=_loss_number("alpha", loss_over.get("alpha", 1.0)),
-        epsilon=epsilon if isinstance(epsilon, str) else _loss_number("epsilon", epsilon),
-        lam=args.lam,
-    )
+    loss_cfg = LossConfig(args.loss, lam=args.lam, **loss_over)
     config = toyuda.ToyUdaConfig(loss=loss_cfg, seed=args.seed, **overrides)
     result = toyuda.train(config)
     json_path, csv_path = result.save(args.out_prefix)
@@ -191,14 +169,10 @@ def _cmd_toyuda(args) -> int:
 def _cmd_examples(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     written = []
-    for name, mat in probmat.EXAMPLES_4X2.items():
-        path = os.path.join(args.out_dir, f"{name.lower()}_4x2.csv")
-        probmat.write_matrix_csv(path, mat, header=f"# {name} (4x2)")
-        written.append(path)
-    for name, mat in probmat.EXAMPLES_2X2.items():
-        path = os.path.join(args.out_dir, f"{name.lower()}_2x2.csv")
-        probmat.write_matrix_csv(path, mat, header=f"# {name} (2x2)")
-        written.append(path)
+    for shape, examples in (("4x2", probmat.EXAMPLES_4X2), ("2x2", probmat.EXAMPLES_2X2)):
+        for name, mat in examples.items():
+            written.append(os.path.join(args.out_dir, f"{name.lower()}_{shape}.csv"))
+            probmat.write_matrix_csv(written[-1], mat, header=f"# {name} ({shape})")
     for path in written:
         print(path)
     return 0
@@ -224,12 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_loss_params(p, with_loss=True, epsilon_default="auto"):
+    # defaults come from the config classes that check these values, so none is stated twice
+    def add_loss_params(p, with_loss=True):
         if with_loss:
             p.add_argument("--loss", required=True, choices=losses.LOSS_KINDS)
-        p.add_argument("--r", type=float, default=0.5)
-        p.add_argument("--alpha", type=float, default=1.0)
-        p.add_argument("--epsilon", type=_parse_epsilon, default=epsilon_default, help=_EPSILON_HELP)
+        p.add_argument("--r", type=float, default=LossConfig.r)
+        p.add_argument("--alpha", type=float, default=LossConfig.alpha)
+        p.add_argument("--epsilon", type=_parse_epsilon, default=LossConfig.epsilon,
+                       help="epsilon for the normalized-squares loss; a number or 'auto'")
 
     p_eval = sub.add_parser("eval", help="print all loss values and metrics for a matrix CSV")
     p_eval.add_argument("--input", required=True, help="matrix CSV path, or '-' for stdin")
@@ -254,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_surface = sub.add_parser("surface", help="negated-loss surface on the 2x2 family")
-    add_loss_params(p_surface, epsilon_default=1e-6)
+    add_loss_params(p_surface)
     p_surface.add_argument("--grid", type=int, default=201)
     p_surface.add_argument("--out", required=True)
     p_surface.set_defaults(func=_cmd_surface)
@@ -263,17 +239,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_loss_params(p_opt)
     p_opt.add_argument("--b", type=int, required=True)
     p_opt.add_argument("--c", type=int, required=True)
-    p_opt.add_argument("--inits", type=int, default=64)
-    p_opt.add_argument("--steps", type=int, default=2000)
-    p_opt.add_argument("--lr", type=float, default=0.05)
-    p_opt.add_argument("--seed", type=lambda s: int(s, 0), default=oracle.DEFAULT_SEED)
+    p_opt.add_argument("--inits", type=int, default=optimizer.AscentConfig.inits)
+    p_opt.add_argument("--steps", type=int, default=optimizer.AscentConfig.steps)
+    p_opt.add_argument("--lr", type=float, default=optimizer.AscentConfig.step_size)
+    p_opt.add_argument("--seed", type=lambda s: int(s, 0), default=optimizer.AscentConfig.seed)
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_toy = sub.add_parser("toyuda", help="train the toy two-domain classifier")
     p_toy.add_argument("--loss", required=True, choices=losses.LOSS_KINDS)
     p_toy.add_argument("--lambda", dest="lam", type=float, required=True)
     p_toy.add_argument("--config", default=None, help="JSON file overriding config fields")
-    p_toy.add_argument("--seed", type=lambda s: int(s, 0), default=oracle.DEFAULT_SEED)
+    p_toy.add_argument("--seed", type=lambda s: int(s, 0), default=toyuda.ToyUdaConfig.seed)
     p_toy.add_argument("--out-prefix", default="toyuda")
     p_toy.set_defaults(func=_cmd_toyuda)
 

@@ -78,7 +78,9 @@ from __future__ import annotations
 import contextvars
 import functools
 import math
+import numbers
 import os
+import typing
 from dataclasses import dataclass
 from typing import NoReturn, Union
 
@@ -114,6 +116,33 @@ class ConvergenceError(RuntimeError):
     """The Jacobi sweep cap was reached before the off-diagonals vanished."""
 
 
+# Python type of a number field -> the values it accepts
+_NUMBER_KINDS = {int: numbers.Integral, float: numbers.Real}
+
+
+def _check_number(name: str, value, kind: type = float, finite: bool = False) -> None:
+    """The number rule every config shares: ValueError naming ``name`` unless ``value`` is a non-boolean
+    real number (``kind=float``) or integer (``kind=int``), and not NaN or infinite when ``finite``."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBER_KINDS[kind]):
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    # JSON gives NaN and Infinity as floats; an int is finite and may not fit a float
+    if finite and not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+@functools.cache
+def _number_fields(cls: type) -> tuple[tuple[str, type], ...]:
+    # the int and float fields of a dataclass, however they are annotated
+    return tuple((name, hint) for name, hint in typing.get_type_hints(cls).items() if hint in _NUMBER_KINDS)
+
+
+def _check_number_fields(config, finite: bool = False) -> None:
+    """Apply the number rule to every int and float field of the dataclass instance ``config``."""
+    for name, kind in _number_fields(type(config)):
+        _check_number(name, getattr(config, name), kind, finite)
+
+
 @dataclass(frozen=True)
 class LossConfig:
     """Loss selector plus parameters.
@@ -122,7 +151,8 @@ class LossConfig:
     ``epsilon`` may be the literal string "auto", which resolves to 0 when
     the matrix has more rows than columns and to 1e-6 otherwise.
     ``lam`` is the weight given to the loss when it is combined with a
-    supervised objective (see the toyuda module).
+    supervised objective (see the toyuda module).  Every number, a non-string
+    ``epsilon`` included, passes the shared number rule (:func:`_check_number`) first.
     """
 
     kind: str
@@ -134,6 +164,9 @@ class LossConfig:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}, expected one of {LOSS_KINDS}")
+        _check_number_fields(self)
+        if not isinstance(self.epsilon, str):
+            _check_number("epsilon", self.epsilon)
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"r must be in [0, 1], got {self.r}")
         # written so that NaN fails the range test too

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import probmat
-from .losses import LossConfig, _loss_grads_stack, _loss_values_stack
+from .losses import LossConfig, _check_number, _check_number_fields, _loss_grads_stack, _loss_values_stack
 from .probmat import one_hot_matrix, project_rows
 
 ACCEPT_TOL = 1e-10
@@ -48,7 +48,6 @@ MAX_HALVINGS = 60
 POLISH_EVERY = 25
 RETIRE_REASONS = ("converged", "no improving step", "step cap")
 SURFACE_ARGMAX_TOL = 1e-6
-_PROFILE_OFFSETS = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)
 # entries one stacked rung of the halving ladder may hold, at least; a rung
 # over more starts than the larger of this and inits * B * C is scored in parts
 _RUNG_FLOATS = 2**16
@@ -56,7 +55,10 @@ _RUNG_FLOATS = 2**16
 
 @dataclass(frozen=True)
 class AscentConfig:
-    """Multi-start ascent settings; the defaults suit desk-scale matrices."""
+    """Multi-start ascent settings; the defaults suit desk-scale matrices.
+
+    Every field passes the shared number rule (``losses._check_number``) first.
+    """
 
     inits: int = 64
     steps: int = 2000
@@ -64,6 +66,7 @@ class AscentConfig:
     seed: int = 0xE0517
 
     def __post_init__(self):
+        _check_number_fields(self)
         if self.inits < 1 or self.steps < 1:
             raise ValueError("inits and steps must be positive")
         if not 0.0 < self.step_size < math.inf:
@@ -87,6 +90,14 @@ class AscentResult:
     accepted_steps: np.ndarray
     halving_events: int
     retire_reasons: list[str]
+
+
+def _check_shape(n_rows: int, n_cols: int) -> None:
+    """The shape check of the ascent and of every statement: integers, n_rows >= 1 and n_cols >= 2."""
+    _check_number("n_rows", n_rows, int)
+    _check_number("n_cols", n_cols, int)
+    if n_rows < 1 or n_cols < 2:
+        raise ValueError(f"need n_rows >= 1 and n_cols >= 2, got {n_rows}, {n_cols}")
 
 
 def maximize(
@@ -122,10 +133,9 @@ def maximize(
     * or it reached the step cap.
 
     The best final iterate is chosen by value, ties broken by lexicographic
-    matrix order.  Raises ``ValueError`` unless n_rows >= 1 and n_cols >= 2.
+    matrix order.  Raises ``ValueError`` unless integers n_rows >= 1 and n_cols >= 2.
     """
-    if n_rows < 1 or n_cols < 2:
-        raise ValueError(f"need n_rows >= 1 and n_cols >= 2, got {n_rows}, {n_cols}")
+    _check_shape(n_rows, n_cols)
     cfg = cfg or AscentConfig()
     rng = np.random.default_rng(cfg.seed)
     eps = loss_cfg.resolved_epsilon(n_rows, n_cols)
@@ -346,15 +356,13 @@ def gradient_profile(loss_cfg: LossConfig) -> np.ndarray:
     path p1 = 0.5 + offset, p2 = 0.5 - offset, at the offsets 0, 0.01,
     0.02, 0.05, 0.1 and 0.2.  Inspection aid for how
     sharply each loss reacts around uncertain predictions; no verdict is
-    attached.
+    attached.  The six matrices are scored as one stack, whose rows have
+    the bits of lone calls.
     """
-    rows = []
-    eps = loss_cfg.resolved_epsilon(2, 2)
-    for d in _PROFILE_OFFSETS:
-        mat = np.array([[0.5 + d, 0.5 - d], [0.5 - d, 0.5 + d]])
-        _, grads = _loss_grads_stack(loss_cfg.kind, mat[None], loss_cfg.r, loss_cfg.alpha, eps)
-        rows.append((float(d), float(np.linalg.norm(grads[0]))))
-    return np.array(rows)
+    d = np.array([0.0, 0.01, 0.02, 0.05, 0.1, 0.2])
+    mats = np.stack((0.5 + d, 0.5 - d, 0.5 - d, 0.5 + d), axis=1).reshape(-1, 2, 2)
+    _, grads = _loss_grads_stack(loss_cfg.kind, mats, loss_cfg.r, loss_cfg.alpha, loss_cfg.resolved_epsilon(2, 2))
+    return np.array([(float(x), float(np.linalg.norm(g))) for x, g in zip(d, grads)])
 
 
 def write_surface_csv(surf: SurfaceGrid, target: str) -> str:

@@ -35,8 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .losses import EPSILON_AUTO, LossConfig, _ns_stack, _singular_values_stack
-from .optimizer import AscentConfig, maximize
+from .losses import EPSILON_AUTO, LossConfig, _check_number, _ns_stack, _singular_values_stack
+from .optimizer import AscentConfig, _check_shape, maximize
 from .probmat import (
     DEFAULT_ENUM_BUDGET,
     BudgetError,
@@ -59,8 +59,7 @@ def balanced_sizes(n_rows: int, n_cols: int) -> tuple[int, ...]:
 
     B mod C classes get ceil(B/C) samples and the rest get floor(B/C).
     """
-    if n_rows < 1 or n_cols < 2:
-        raise ValueError(f"need n_rows >= 1 and n_cols >= 2, got {n_rows}, {n_cols}")
+    _check_shape(n_rows, n_cols)
     size, extra = divmod(n_rows, n_cols)
     return (size,) * (n_cols - extra) + (size + 1,) * extra
 
@@ -166,6 +165,7 @@ def verify_theorem_1(n_rows: int, n_cols: int, budget: int = DEFAULT_ENUM_BUDGET
 def _check_theorem_2_params(r: float, trials: int) -> None:
     if not 0.0 < r < 1.0:
         raise ValueError(f"statement 2 covers 0 < r < 1 only, got r={r}")
+    _check_number("trials", trials, int)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 

@@ -31,9 +31,6 @@ for evaluation only.
 
 from __future__ import annotations
 
-import math
-import numbers
-import typing
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,6 +43,8 @@ from . import probmat
 from .losses import (
     _CHUNK_FLOATS,
     LossConfig,
+    _check_number,
+    _check_number_fields,
     _equity_stack,
     _loss_values_stack,
     _squares_stack,
@@ -66,7 +65,9 @@ class ToyUdaConfig:
 
     ``target_counts`` may be imbalanced; ``shift=None`` resolves to a vector
     of magnitude 1.5 * noise_scale along the all-ones diagonal.  The class
-    centers need ``features >= classes - 1``.
+    centers need ``features >= classes - 1``.  Every number, each entry of
+    ``target_counts`` and ``shift`` included, passes the shared number rule
+    (``losses._check_number``) first, and must be finite.
     """
 
     classes: int = 3
@@ -84,9 +85,8 @@ class ToyUdaConfig:
     seed: int = 0xE0517
 
     def __post_init__(self):
-        # a JSON config can put a string, list or boolean where a number belongs
-        for name, kind in _NUMBER_FIELDS.items():
-            _check_number(name, getattr(self, name), kind)
+        # a JSON config can put a string, list, boolean, NaN or Infinity where a number belongs
+        _check_number_fields(self, finite=True)
         object.__setattr__(self, "target_counts", _as_tuple("target_counts", self.target_counts, int))
         if self.shift is not None:
             object.__setattr__(self, "shift", _as_tuple("shift", self.shift, float))
@@ -125,33 +125,13 @@ class ToyUdaConfig:
         return 1.5 * self.noise_scale * direction
 
 
-# Python type of a number field -> the values it accepts
-_NUMBER_KINDS = {int: numbers.Integral, float: numbers.Real}
-# int and float fields of ToyUdaConfig, however they are annotated
-_NUMBER_FIELDS = {
-    name: _NUMBER_KINDS[hint]
-    for name, hint in typing.get_type_hints(ToyUdaConfig).items()
-    if hint in _NUMBER_KINDS
-}
-
-
-def _check_number(name: str, value, kind=numbers.Real) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is a finite, non-boolean ``kind``."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if kind is numbers.Integral else "a number"
-        raise ValueError(f"{name} must be {noun}, got {value!r}")
-    # JSON gives NaN and Infinity as floats; an int is finite and may not fit a float
-    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 def _as_tuple(name: str, values, kind) -> tuple:
     try:
         items = tuple(values)
     except TypeError:
         raise ValueError(f"{name} must be a list of numbers, got {values!r}") from None
     for item in items:
-        _check_number(f"each entry of {name}", item, _NUMBER_KINDS[kind])
+        _check_number(f"each entry of {name}", item, kind, finite=True)
     return tuple(kind(v) for v in items)
 
 

@@ -223,9 +223,21 @@ def test_one_parser_keeps_subcommand_defaults(tmp_path, capsys, p3_path):
     assert run(["grad", "--loss", "nsm", "--input", p3_path, "--out", str(tmp_path / "g.csv")]) == 0
     assert run(["eval", "--input", p3_path]) == 0
     lines = capsys.readouterr().out.splitlines()
-    # epsilon "auto" resolves to 0 at B > C; the surface default would give -0.500004
+    # every subcommand's epsilon default is "auto": 1e-6 on the 2x2 surface, 0 here at B > C,
+    # where the surface's 1e-6 would give -0.500004
     assert "loss: -0.5" in lines
     assert "ns(r=0.5, alpha=1, epsilon=0): 0.5" in lines
+
+
+def test_surface_epsilon_defaults_to_auto(tmp_path):
+    # "auto" resolves to 1e-6 at the surface's 2x2 shape, the value the surface used to default to
+    paths = []
+    for i, extra in enumerate([[], ["--epsilon", "auto"], ["--epsilon", "1e-6"]]):
+        paths.append(tmp_path / f"s{i}.csv")
+        assert run(["surface", "--loss", "nsm", "--grid", "7", "--out", str(paths[-1])] + extra) == 0
+    for path in paths[1:]:
+        assert path.read_bytes() == paths[0].read_bytes()
+        assert (tmp_path / f"{path.name}.argmax.json").read_bytes() == (tmp_path / "s0.csv.argmax.json").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -352,17 +364,19 @@ class TestToyuda:
             ({"target_counts": 5}, "target_counts"),
             ({"loss": {"R": 1.0}}, "R"),
             ({"epochs": "5"}, "epochs"),
-            ({"loss": {"r": [1]}}, "'r'"),
-            ({"loss": {"r": "0.5"}}, "'r'"),
-            ({"loss": {"alpha": True}}, "'alpha'"),
-            ({"loss": {"epsilon": False}}, "'epsilon'"),
+            ({"loss": {"r": [1]}}, "error: r must be"),
+            ({"loss": {"r": "0.5"}}, "error: r must be"),
+            ({"loss": {"alpha": True}}, "error: alpha must be"),
+            ({"loss": {"epsilon": False}}, "error: epsilon must be"),
             ({"target_counts": [60.7, 30, 10.9]}, "target_counts"),
             ({"learning_rate": float("nan")}, "learning_rate"),
             ({"noise_scale": float("inf")}, "noise_scale"),
             ({"center_spread": float("nan")}, "center_spread"),
             ({"shift": [float("nan"), 0.0]}, "shift"),
-            ({"loss": {"alpha": float("nan")}}, "'alpha'"),
-            ({"loss": {"epsilon": float("inf")}}, "'epsilon'"),
+            ({"loss": {"alpha": float("nan")}}, "error: alpha must be"),
+            ({"loss": {"epsilon": float("inf")}}, "error: epsilon must be"),
+            ({"loss": {"r": None}}, "error: r must be"),
+            ({"loss": {"epsilon": None}}, "error: epsilon must be"),
         ],
         ids=[
             "unknown_key",
@@ -382,6 +396,8 @@ class TestToyuda:
             "shift_nan",
             "loss_alpha_nan",
             "loss_epsilon_inf",
+            "loss_r_null",
+            "loss_epsilon_null",
         ],
     )
     def test_bad_config_is_one_error_line(self, cfg, key, tmp_path, capsys):

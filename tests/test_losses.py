@@ -33,6 +33,9 @@ P1 = np.asarray(EXAMPLES_4X2["P1"])
 P2 = np.asarray(EXAMPLES_4X2["P2"])
 P3 = np.asarray(EXAMPLES_4X2["P3"])
 
+NUMBER_PARAMS = ("r", "alpha", "epsilon", "lam")
+NOT_NUMBERS = (True, "0.5", None)
+
 
 class TestLossConfig:
     def test_defaults(self):
@@ -57,11 +60,19 @@ class TestLossConfig:
             {"kind": "nsm", "r": 0.5, "alpha": 0.0},
             {"kind": "nsm", "r": 1.0, "alpha": 0.0},
             {"kind": "nsm", "epsilon": "bogus"},
+            # a bool or a non-number in a number field, not a TypeError and not True read as 1
+            *({"kind": "nsm", name: value} for name in NUMBER_PARAMS for value in NOT_NUMBERS),
         ],
     )
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             LossConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", NUMBER_PARAMS)
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    def test_rejects_non_numbers_naming_the_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a number"):
+            LossConfig("nsm", **{name: value})
 
     @pytest.mark.parametrize("name", ["alpha", "epsilon", "lam"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.nan])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from equimax import optimizer
-from equimax.losses import LOSS_KINDS, LossConfig, _loss_values_stack, loss_value
+from equimax.losses import LOSS_KINDS, LossConfig, _loss_values_stack, gradient, loss_value
 from equimax.optimizer import (
     RETIRE_REASONS,
     AscentConfig,
@@ -385,6 +385,23 @@ class TestSurfaceIo:
         assert np.array_equal(back[:, 2], grid.values)
 
 
+@pytest.mark.parametrize("cfg", [LossConfig(kind) for kind in LOSS_KINDS] + [LossConfig("nsm", r=1.0, epsilon=0.0)])
+def test_gradient_profile_is_one_stack_with_lone_call_bytes(cfg, monkeypatch):
+    calls = []
+    stack_call = optimizer._loss_grads_stack
+
+    def counted(kind, stack, *args):
+        calls.append(stack.shape)
+        return stack_call(kind, stack, *args)
+
+    monkeypatch.setattr(optimizer, "_loss_grads_stack", counted)
+    prof = gradient_profile(cfg)
+    assert calls == [(6, 2, 2)]
+    for d, norm in prof:
+        mat = np.array([[0.5 + d, 0.5 - d], [0.5 - d, 0.5 + d]])
+        assert norm.tobytes() == np.float64(np.linalg.norm(gradient(mat, cfg).grad)).tobytes()
+
+
 def test_gradient_profile_shape():
     prof = gradient_profile(LossConfig("nsm", r=0.5, epsilon=1e-6))
     assert prof.shape == (6, 2)
@@ -401,3 +418,25 @@ def test_ascent_config_validation():
     for step_size in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="^step_size must be positive and finite, got "):
             AscentConfig(step_size=step_size)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        *((name, value) for name in ("inits", "steps") for value in (2.0, True, "3")),
+        ("step_size", True),
+        ("seed", 1.5),
+        ("seed", "x"),
+    ],
+)
+def test_ascent_config_number_rule_names_the_field(name, value):
+    # accepted before, then a numpy TypeError in maximize, or True run as 1
+    noun = "a number" if name == "step_size" else "an integer"
+    with pytest.raises(ValueError, match=f"^{name} must be {noun}, got {value!r}$"):
+        AscentConfig(**{name: value})
+
+
+@pytest.mark.parametrize("shape, name", [((2.0, 2), "n_rows"), ((2, True), "n_cols"), ((2, "3"), "n_cols")])
+def test_maximize_shape_must_be_integers(shape, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        maximize(LossConfig("ms"), *shape, FAST)

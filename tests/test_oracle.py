@@ -66,6 +66,19 @@ class TestBalancedSizes:
         with pytest.raises(ValueError):
             balanced_sizes(3, 1)
 
+    @pytest.mark.parametrize(
+        "shape, name",
+        [((3.5, 2), "n_rows"), ((True, 2), "n_rows"), ((3, 2.0), "n_cols"), ((3, "2"), "n_cols")],
+    )
+    def test_rejects_non_integer_shape_naming_it(self, shape, name):
+        # not a TypeError from tuple repetition, and True is not read as 1
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            balanced_sizes(*shape)
+
+    def test_every_statement_runs_the_integer_shape_check(self):
+        with pytest.raises(ValueError, match="^n_rows must be an integer, got 2.0$"):
+            verify_theorem_1(2.0, 3)
+
 
 class TestHessianDiag:
     def test_zero_mass_case(self):
@@ -135,6 +148,11 @@ class TestTheorem2:
         monkeypatch.setattr(oracle, "maximize", no_ascent)
         with pytest.raises(ValueError, match=f"^trials must be >= 1, got {trials}$"):
             verify_theorem_2(3, 3, 0.5, trials=trials)
+
+    @pytest.mark.parametrize("trials", [2.5, True, "3"])
+    def test_non_integer_trials_rejected_naming_it(self, trials):
+        with pytest.raises(ValueError, match=f"^trials must be an integer, got {re.escape(repr(trials))}$"):
+            verify_theorem_2(2, 2, 0.5, trials=trials)
 
     def test_balanced_argmax_at_6x6(self):
         for seed in ASCENT_SEEDS:
