@@ -59,18 +59,17 @@ stays independent of the closed-form checks used in the tests.  Tall
 matrices are first reduced to their square triangular factor by Householder
 QR (Drmac and Veselic 2008), and each sweep rotates the disjoint column
 pairs of one round-robin round at a time (Brent and Luk 1985) until a sweep
-finds every pair orthogonal to a relative 1e-14.  Single matrices and stacks
-run the same rounds with the same formulas and get the same bits; a lone
-matrix rotates each round in one row update with its rotation parameters
-as Python floats, which takes far fewer numpy calls than a stack's
-vectorised round.  Every round of a lone matrix of 2 or 3 columns holds
-one pair: it takes the pair's inner product with one ``einsum`` over the
-two 1-D rows, ``c`` with ``np.power`` in place in a 1-entry buffer (Python's
-``**`` rounds differently in the last bit), and [-s; s] and the turned rows
-in arrays made once per call, never per module, since several threads may
-decompose matrices at once.  It calls the public ``np.einsum``, not the faster C function
-behind it, whose module moved between numpy 1.x and 2.x.  No LAPACK
-routine is called.
+finds every pair orthogonal to a relative 1e-14.  A matrix and a stack run
+one sweep loop and one Gram-Schmidt loop; only each step's arithmetic
+forks, and both forks give the same bits.  A lone matrix rotates a round
+in one row update with Python-float parameters, far fewer numpy calls than
+a stack's vectorised round; a round of one pair (every round of 2 or 3
+columns) takes one ``einsum`` over the two 1-D rows and ``c`` from
+``np.power`` (Python's ``**`` rounds differently in the last bit), in
+scratch arrays made per call, never per module, since several threads may
+decompose matrices at once.  The public ``np.einsum`` is called, not the
+C function behind it, whose module moved between numpy 1.x and 2.x.  No
+LAPACK routine is called.
 """
 
 from __future__ import annotations
@@ -322,50 +321,40 @@ def _jacobi_orthogonalize(mats: np.ndarray, max_sweeps: int) -> tuple[np.ndarray
 
     ``mats`` has m >= n and is modified in place; the accumulated right
     rotations, (n, n) or (N, n, n), and the number of sweeps are returned.
-    A sweep runs the round-robin rounds in order and rotates all pairs of a
-    round at once, so the computation is deterministic.  Column norms are
-    computed once per sweep and updated in closed form after each rotation,
-    leaving one inner product per pair and round.  A lone matrix, or a
-    stack of one, runs on a 2-D (n, m + n) working array and rotates each
-    round with Python-float parameters (:func:`_rotate_lone_round`), a stack
-    with the vectorised round, to the same bits.  A matrix with fewer than
-    two columns has no pair to rotate and returns after 0 sweeps.
+    A sweep runs the round-robin rounds in order, all pairs of a round at
+    once, so the computation is deterministic.  Column norms are computed
+    once per sweep and updated in closed form after each rotation, leaving
+    one inner product per pair and round.  One sweep loop serves both
+    inputs and only the round forks: a lone matrix, or a stack of one,
+    works on a 2-D (n, m + n) array with Python-float parameters
+    (:func:`_rotate_lone_round`), a larger stack with the vectorised round,
+    to the same bits.  A matrix with fewer than two columns has no pair to
+    rotate and returns after 0 sweeps.
     """
-    rounds = _round_robin(mats.shape[-1])
+    m, n = mats.shape[-2:]
+    rounds = _round_robin(n)
+    lone = mats.ndim == 2 or len(mats) == 1
+    # row j of a matrix's working array holds its column j followed by column j of the rotations
+    work = np.zeros((n, m + n) if lone else (len(mats), n, m + n))
+    cols = work[..., :m]
+    cols[...] = mats.swapaxes(-1, -2)
+    work.reshape(work.shape[:-2] + (n * (m + n),))[..., m :: m + n + 1] = 1.0  # the identity in work[..., m:]
+    norms = np.einsum("...km,...km->...k", cols, cols)
     # Rotation-invariant scale, 1e-32 times the sum of the column norms; inner products below
     # this floor belong to numerically-zero columns and are skipped (also keeps zeta finite).
-    if mats.ndim == 2 or len(mats) == 1:
-        mat = mats if mats.ndim == 2 else mats[0]  # a view: the rotated columns land in mats
-        m, n = mat.shape
-        # row j holds column j of the matrix followed by column j of the rotations
-        work = np.zeros((n, m + n))
-        cols = work[:, :m]
-        cols[...] = mat.T
-        work.reshape(-1)[m :: m + n + 1] = 1.0  # the identity in work[:, m:]
-        norms = np.einsum("km,km->k", cols, cols)
-        floor = 1e-32 * norms.sum().item()
+    floor = 1e-32 * norms.sum(axis=-1, keepdims=True)
+    if lone:
+        floor = floor.item()
         scratch = np.empty(1), np.empty((2, 1)), np.empty((2, m + n))
-        for sweep in range(1 if rounds else 0, max_sweeps + 1):  # no column pair: done at sweep 0
-            rotated = False
-            lone_norms = norms.tolist()
-            for _, _, pairs, rows in rounds:
-                rotated |= _rotate_lone_round(work, m, lone_norms, pairs, rows, floor, scratch)
-            if not rotated:
-                mat[...] = cols.T
-                rots = work[:, m:].T.copy()
-                return (rots if mats.ndim == 2 else rots[None]), sweep
-            norms = np.einsum("km,km->k", cols, cols)
-        raise ConvergenceError(f"Jacobi SVD did not converge within {max_sweeps} sweeps")
-    n_mats, m, n = mats.shape
-    work = np.zeros((n_mats, n, m + n))
-    cols = work[:, :, :m]
-    cols[...] = mats.transpose(0, 2, 1)
-    work[:, :, m:] = np.eye(n)
-    norms = np.einsum("nkm,nkm->nk", cols, cols)
-    floor = 1e-32 * norms.sum(axis=1, keepdims=True)
-    for sweep in range(1 if rounds else 0, max_sweeps + 1):
+    for sweep in range(1 if rounds else 0, max_sweeps + 1):  # no column pair: done at sweep 0
         rotated = False
+        lone_norms = norms.tolist() if lone else None
         for left, right, pairs, rows in rounds:
+            if lone:
+                rotated |= _rotate_lone_round(work, m, lone_norms, pairs, rows, floor, scratch)
+                continue
+            # a stack's round, vectorised over its matrices and pairs; its temporaries live until the
+            # next round, so large groups reuse their pages instead of returning them after each round
             x = work[:, left]
             y = work[:, right]
             ab = np.einsum("npm,npm->np", x[:, :, :m], y[:, :, :m])
@@ -388,9 +377,9 @@ def _jacobi_orthogonalize(mats: np.ndarray, max_sweeps: int) -> tuple[np.ndarray
             work[:, right] = s * x + c * y
             work[:, left] = new_x
         if not rotated:
-            mats[...] = cols.transpose(0, 2, 1)
-            return work[:, :, m:].transpose(0, 2, 1).copy(), sweep
-        norms = np.einsum("nkm,nkm->nk", cols, cols)
+            mats[...] = cols.swapaxes(-1, -2)
+            return work[..., m:].swapaxes(-1, -2).copy().reshape(mats.shape[:-2] + (n, n)), sweep
+        norms = np.einsum("...km,...km->...k", cols, cols)
     raise ConvergenceError(f"Jacobi SVD did not converge within {max_sweeps} sweeps")
 
 
@@ -439,34 +428,30 @@ def _completion(basis: np.ndarray) -> np.ndarray:
 def _orthonormalize_columns(q: np.ndarray) -> np.ndarray:
     """Re-orthonormalize the columns of an (m, k) matrix or of every matrix in an (N, m, k) stack, in order.
 
-    A column is projected off the already-fixed columns twice (classical
-    Gram-Schmidt, twice is enough), for all matrices at once.  A column
-    that keeps no more than half its length, such as the zero column of a
-    vanishing singular value, is replaced by the first standard basis
-    vector whose residual keeps more than half its length.  A matrix takes
-    its norms as Python floats; the products are the same matmuls as a
-    stack's, so the bits are the same.
+    One column loop serves both: a column is projected off the already-fixed
+    columns twice (classical Gram-Schmidt, twice is enough), for all matrices
+    at once.  A column that keeps no more than half its length, such as the
+    zero column of a vanishing singular value, is replaced by the first
+    standard basis vector whose residual keeps more than half its length.
+    Only the norm, divide and completion fork: a matrix takes its norm as a
+    Python float; the products are the same matmuls, so the bits are the same.
     """
-    k = q.shape[-1]
     out = np.empty_like(q)
-    if q.ndim == 2:
-        for idx in range(k):
-            basis = out[:, :idx]
-            v = _project_off(basis, q[None, :, idx]) if idx else q[None, :, 0]
+    for idx in range(q.shape[-1]):
+        basis = out[..., :idx]
+        v = _project_off(basis, q[..., None, :, idx]) if idx else q[..., None, :, 0]
+        if q.ndim == 2:
             norm = math.sqrt(np.einsum("im,im->", v, v))
             if norm <= 0.5:
                 out[:, idx] = _completion(basis)
             else:
                 np.divide(v[0], norm, out=out[:, idx])
-        return out
-    for idx in range(k):
-        basis = out[:, :, :idx]
-        v = _project_off(basis, q[:, None, :, idx]) if idx else q[:, None, :, 0]
-        norm = np.sqrt(np.einsum("nim,nim->n", v, v))
-        redo = norm <= 0.5
-        out[:, :, idx] = v[:, 0, :] / np.where(redo, 1.0, norm)[:, None]
-        for mat in np.flatnonzero(redo):
-            out[mat, :, idx] = _completion(basis[mat])
+        else:
+            norm = np.sqrt(np.einsum("nim,nim->n", v, v))
+            redo = norm <= 0.5
+            out[:, :, idx] = v[:, 0, :] / np.where(redo, 1.0, norm)[:, None]
+            for mat in np.flatnonzero(redo):
+                out[mat, :, idx] = _completion(basis[mat])
     return out
 
 
@@ -488,7 +473,9 @@ def _jacobi_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def _groups(stack: np.ndarray, per_matrix: int, limit: int) -> list:
     """Consecutive slices of max(1, limit // per_matrix) matrices of an (N, B, C) stack, so working
-    arrays of per_matrix entries each stay bounded."""
+    arrays of per_matrix entries each stay bounded; a lone (B, C) matrix is one group, ``...``."""
+    if stack.ndim == 2:
+        return [...]
     size = max(1, limit // max(1, per_matrix))
     return [slice(first, first + size) for first in range(0, stack.shape[0], size)]
 
@@ -564,12 +551,9 @@ def svd(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _singular_values_stack(stack: np.ndarray) -> np.ndarray:
     """Descending singular values of a (B, C) matrix or of every matrix in an (N, B, C) stack,
     from one walk over :func:`_groups` of about _CHUNK_FLOATS entries."""
-    if stack.ndim == 2:
-        sigma = _jacobi_factors(stack)[2]
-    else:
-        sigma = np.empty(stack.shape[:-2] + (min(stack.shape[-2:]),))
-        for mats in _groups(stack, stack.shape[-2] * stack.shape[-1], _CHUNK_FLOATS):
-            sigma[mats] = _jacobi_factors(stack[mats])[2]
+    sigma = np.empty(stack.shape[:-2] + (min(stack.shape[-2:]),))
+    for mats in _groups(stack, stack.shape[-2] * stack.shape[-1], _CHUNK_FLOATS):
+        sigma[mats] = _jacobi_factors(stack[mats])[2]
     return np.sort(sigma, axis=-1)[..., ::-1]
 
 
@@ -606,10 +590,10 @@ def _bnm(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | N
     pass as the singular values: U = A V / sigma on the oriented matrix A,
     re-orthonormalized in descending sigma order, since its error grows as
     sigma_0 / sigma.  Columns of U for a vanishing singular value are
-    completed to an orthonormal basis (a subgradient).  A stack's singular
-    values and polar factors come from one walk over :func:`_groups`; a
-    lone matrix runs the same steps once, on 2-D arrays, and negates and
-    scales its polar factor in place.  A matrix's flag is exact only when consecutive
+    completed to an orthonormal basis (a subgradient).  Singular values and
+    polar factors come from one walk over :func:`_groups`, in which a lone
+    matrix is one group of 2-D arrays; it then negates and scales its polar
+    factor in place.  A matrix's flag is exact only when consecutive
     singular values are more than SV_DISTINCT_GAP apart and none is below
     SV_ZERO_TOL, vacuously so without columns; a matrix gets a bool, taken
     in Python floats, and a stack an array of them.
@@ -617,19 +601,17 @@ def _bnm(stack: np.ndarray, want_grad: bool) -> tuple[np.ndarray, np.ndarray | N
     n_rows, n_cols = stack.shape[-2] or _divides_by_zero("bnm", "B"), stack.shape[-1]
     if not want_grad:
         return -_singular_values_stack(stack).sum(axis=-1) / n_rows, None, None
-    if stack.ndim == 2:
-        sigma, rots, left = _sorted_factors(*_jacobi_factors(stack))
-        polar = np.matmul(_orthonormalize_columns(left), rots.T)
-        np.negative(polar, out=polar)
-        polar /= n_rows
-        desc = sigma.tolist()
-        exact = (not desc or desc[-1] > SV_ZERO_TOL) and all(a - b > SV_DISTINCT_GAP for a, b in zip(desc, desc[1:]))
-        return -sigma.sum() / n_rows, (polar.T if n_rows < n_cols else polar), exact
     sigma = np.empty(stack.shape[:-2] + (min(n_rows, n_cols),))
     polar = np.empty(stack.shape[:-2] + (max(n_rows, n_cols), min(n_rows, n_cols)))
     for mats in _groups(stack, n_rows * n_cols, _CHUNK_FLOATS):
         sigma[mats], rots, left = _sorted_factors(*_jacobi_factors(stack[mats]))
         polar[mats] = np.matmul(_orthonormalize_columns(left), rots.swapaxes(-1, -2))
+    if stack.ndim == 2:
+        np.negative(polar, out=polar)
+        polar /= n_rows
+        desc = sigma.tolist()
+        exact = (not desc or desc[-1] > SV_ZERO_TOL) and all(a - b > SV_DISTINCT_GAP for a, b in zip(desc, desc[1:]))
+        return -sigma.sum() / n_rows, (polar.T if n_rows < n_cols else polar), exact
     exact = np.all(-np.diff(sigma, axis=1) > SV_DISTINCT_GAP, axis=1) & np.all(sigma[:, -1:] > SV_ZERO_TOL, axis=1)
     values = -sigma.sum(axis=-1) / n_rows
     return values, -(polar.swapaxes(-1, -2) if n_rows < n_cols else polar) / n_rows, exact

@@ -69,6 +69,8 @@ class AscentConfig:
         _check_number_fields(self)
         if self.inits < 1 or self.steps < 1:
             raise ValueError("inits and steps must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.step_size < math.inf:
             raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
 

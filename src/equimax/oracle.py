@@ -123,6 +123,7 @@ def _ascent_config(seed: int, ascent: Optional[AscentConfig]) -> AscentConfig:
 
 def _one_hot_label_stack(n_rows: int, n_cols: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
     """All one-hot matrices as an (N, B, C) stack plus their (N, B) labels, lexicographic."""
+    _check_number("budget", budget, int)
     count = n_cols**n_rows
     if count > budget:
         raise BudgetError(f"{n_cols}^{n_rows} = {count} one-hot matrices exceeds budget {budget}")
@@ -163,6 +164,7 @@ def verify_theorem_1(n_rows: int, n_cols: int, budget: int = DEFAULT_ENUM_BUDGET
 
 
 def _check_theorem_2_params(r: float, trials: int) -> None:
+    _check_number("r", r)
     if not 0.0 < r < 1.0:
         raise ValueError(f"statement 2 covers 0 < r < 1 only, got r={r}")
     _check_number("trials", trials, int)
@@ -229,6 +231,7 @@ def verify_theorem_3(
     classes is optimal; that regime is reported descriptively with no
     pass/fail verdict.
     """
+    _check_number("r", r)
     if not 0.0 < r <= 1.0:
         raise ValueError(f"statement 3 covers 0 < r < 1 (r = 1 descriptive), got r={r}")
     predicted = list(balanced_sizes(n_rows, n_cols))  # the shape check at every r, before the enumeration
@@ -253,6 +256,8 @@ def verify_theorem_3(
 
 
 def _check_theorem_4_5_params(alpha: float, epsilon: float) -> None:
+    _check_number("alpha", alpha)
+    _check_number("epsilon", epsilon)
     if not 0.0 < alpha < math.inf:  # written so that NaN fails too
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if not 0.0 <= epsilon < math.inf:
@@ -331,6 +336,8 @@ def verify_theorem_6(
     (b) every other one-hot matrix falls strictly below it, and
     (c) multi-start continuous ascent reaches the bound within 1e-6.
     """
+    _check_number("r", r)
+    _check_number("epsilon", epsilon)  # alpha's is in _check_theorem_4_5_params, before its range check
     if n_rows > n_cols:
         raise ValueError(f"statement 6 requires B <= C, got B={n_rows} > C={n_cols}")
     if not 0.0 < r < 1.0:

@@ -32,6 +32,8 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from .losses import _check_number
+
 ROW_SUM_TOL = 1e-9
 ENTRY_TOL = 1e-9
 DEFAULT_ENUM_BUDGET = 10**7
@@ -141,6 +143,7 @@ def enumerate_size_compositions(
 
     Lexicographic ascending order, e.g. (0, 2), (1, 1), (2, 0) for 2 into 2.
     """
+    _check_number("budget", budget, int)
     count = math.comb(total + parts - 1, parts - 1)
     if count > budget:
         raise BudgetError(f"{count} compositions of {total} into {parts} parts exceeds budget {budget}")

@@ -117,6 +117,8 @@ class ToyUdaConfig:
             raise ValueError("epochs and learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def resolved_shift(self) -> np.ndarray:
         if self.shift is not None:

@@ -304,6 +304,23 @@ def test_non_finite_parameter_is_one_error_line(argv, name, p3_path, tmp_path, c
     assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--loss", "ms", "--b", "3", "--c", "3"],
+        ["toyuda", "--loss", "ms", "--lambda", "1.0", "--out-prefix", "{out}/toy"],
+        ["verify", "--theorem", "2", "--b", "2", "--c", "2", "--out", "{out}/verify.json"],
+    ],
+    ids=["optimize", "toyuda", "verify_2"],
+)
+def test_negative_seed_is_one_error_line(argv, tmp_path, capsys):
+    # refused by the config, naming the field; before, numpy refused it later with
+    # "expected non-negative integer"
+    assert run([a.format(out=tmp_path) for a in argv] + ["--seed", "-1"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestOptimize:
     def test_cwsm(self, capsys):
         code = run(

@@ -251,32 +251,42 @@ class TestJacobiEngine:
         assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]  # each pair once a sweep
 
     @pytest.mark.parametrize(
-        "shape",
-        [(30, 2), (30, 3), (100, 3), (3, 30), (30, 4), (30, 9), (4, 10), (12, 10), (40, 12), (64, 20), (33, 31)],
-        ids=lambda s: "%dx%d" % s,
+        "make, shape",
+        [
+            (make, shape)
+            for make in (random_matrix, _zero_column, _duplicate_columns, _rank_one)
+            for shape in ((30, 2), (30, 3), (100, 3), (3, 30), (30, 4), (30, 9), (4, 10), (12, 10), (40, 12),
+                          (64, 20), (33, 31))
+        ]
+        # no column pair: no round, 0 sweeps, the identity, and the columns as they came
+        + [(random_matrix, (6, 0)), (random_matrix, (6, 1)), (random_matrix, (1, 6))],
+        ids=lambda v: "%dx%d" % v if isinstance(v, tuple) else v.__name__,
     )
-    @pytest.mark.parametrize("make", [random_matrix, _zero_column, _duplicate_columns, _rank_one])
-    def test_lone_rounds_match_stack_rounds_bit_for_bit(self, rng, monkeypatch, shape, make):
-        # a lone matrix rotates each round with Python-float parameters, a
-        # stack with the vectorised rounds; a round's rows are a slice for one
-        # pair (n <= 3) and in one round each at n = 4 and n = 5, and an index
-        # array in every round from n = 6 up to the 16 pairs of 33x31
+    def test_lone_rounds_match_stack_rounds_bit_for_bit(self, rng, monkeypatch, make, shape):
+        # a lone matrix, 2-D or a stack of one, rotates each round with Python-float parameters, a
+        # stack of three with the vectorised rounds; a round's rows are a slice for one pair
+        # (n <= 3) and in one round each at n = 4 and n = 5, and an index array in every round
+        # from n = 6 up to the 16 pairs of 33x31
         lone_rounds = []
         lone_round = losses._rotate_lone_round
         monkeypatch.setattr(losses, "_rotate_lone_round", lambda *a: lone_rounds.append(1) or lone_round(*a))
         mat = make(rng, *shape)
         oriented = mat if shape[0] >= shape[1] else mat.T
         n = oriented.shape[1]
-        alone = oriented[None].copy()
+        alone = oriented.copy()
         rots, sweeps = losses._jacobi_orthogonalize(alone, max_sweeps=100 * n)
+        assert rots.shape == (n, n)
         assert len(lone_rounds) == sweeps * len(losses._round_robin(n))  # every round of every sweep
-        lone_rounds.clear()
-        pair = np.stack([oriented, oriented])
-        pair_rots, pair_sweeps = losses._jacobi_orthogonalize(pair, max_sweeps=100 * n)
-        assert not lone_rounds
-        assert sweeps == pair_sweeps
-        assert rots.tobytes() == pair_rots[:1].tobytes()
-        assert alone.tobytes() == pair[:1].tobytes()
+        for count in (1, 3):
+            lone_rounds.clear()
+            stack = np.stack([oriented] * count)
+            stack_rots, stack_sweeps = losses._jacobi_orthogonalize(stack, max_sweeps=100 * n)
+            assert len(lone_rounds) == (sweeps * len(losses._round_robin(n)) if count == 1 else 0)
+            assert stack_rots.shape == (count, n, n) and stack_sweeps == sweeps
+            assert stack_rots.tobytes() == rots.tobytes() * count
+            assert stack.tobytes() == alone.tobytes() * count
+        if n < 2:
+            assert sweeps == 0 and rots.tobytes() == np.eye(n).tobytes() and alone.tobytes() == oriented.tobytes()
 
     def test_lone_rounds_rotate_skipped_pairs_by_the_identity(self):
         # column 0 is orthogonal to every other column, so its pair is skipped
@@ -1173,12 +1183,14 @@ def test_empty_matrices_follow_one_rule(kind, shape):
 
 
 def test_convergence_error_is_reported():
-    # the sweep cap is honored (tiny cap forces the failure path), on the
-    # Python-float rounds of lone matrices and on the vectorised rounds of a stack
+    # the sweep cap is honored (tiny cap forces the failure path), with one message for the
+    # Python-float rounds of a matrix or a stack of one and the vectorised rounds of a stack
     from equimax.losses import _jacobi_orthogonalize
 
     rng = np.random.default_rng(0)
-    for shape in ((1, 6, 6), (1, 8, 3), (2, 6, 6)):
-        mats = rng.random(shape)
-        with pytest.raises(ConvergenceError, match="1 sweeps"):
-            _jacobi_orthogonalize(mats, max_sweeps=1)
+    for shape in ((6, 6), (8, 3)):
+        mat = rng.random(shape)
+        for mats in (mat.copy(), mat[None].copy(), np.stack([mat, mat])):
+            with pytest.raises(ConvergenceError) as err:
+                _jacobi_orthogonalize(mats, max_sweeps=1)
+            assert str(err.value) == "Jacobi SVD did not converge within 1 sweeps"

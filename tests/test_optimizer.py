@@ -418,6 +418,9 @@ def test_ascent_config_validation():
     for step_size in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="^step_size must be positive and finite, got "):
             AscentConfig(step_size=step_size)
+    # accepted before, then refused by numpy with a message that names no field
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        AscentConfig(seed=-1)
 
 
 @pytest.mark.parametrize(

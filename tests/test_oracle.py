@@ -80,6 +80,30 @@ class TestBalancedSizes:
             verify_theorem_1(2.0, 3)
 
 
+@pytest.mark.parametrize(
+    "call, args, kwargs, name, value",
+    [
+        (verify_theorem_1, (3, 3), {"budget": 2.5}, "budget", 2.5),
+        (verify_theorem_2, (2, 2, "0.5"), {}, "r", "0.5"),
+        (verify_theorem_3, (3, 2, True), {}, "r", True),
+        (verify_theorem_3, (3, 3, 0.5), {"budget": True}, "budget", True),
+        (verify_theorem_4_5, (3, 3, True, 0.0), {"run_ascent": False}, "alpha", True),
+        (verify_theorem_4_5, (3, 3, 1.0, "0"), {"run_ascent": False}, "epsilon", "0"),
+        (verify_theorem_6, (2, 3, "0.5", 1.0, 1e-6), {}, "r", "0.5"),
+        (verify_theorem_6, (2, 3, 0.5, 1.0, None), {}, "epsilon", None),
+        (verify_theorem_6, (2, 3, 0.5, 1.0, 1e-6), {"budget": 2.5}, "budget", 2.5),
+    ],
+    ids=["1_budget_float", "2_r_str", "3_r_bool", "3_budget_bool", "4_5_alpha_bool", "4_5_epsilon_str",
+         "6_r_str", "6_epsilon_none", "6_budget_float"],
+)
+def test_statement_parameters_take_the_number_rule(call, args, kwargs, name, value):
+    # before, these ran with True as 1 (statement 3 reported "descriptive"), compared a budget of
+    # 2.5 with the count, or ended in a TypeError from a range check
+    noun = "an integer" if name == "budget" else "a number"
+    with pytest.raises(ValueError, match=f"^{name} must be {noun}, got {re.escape(repr(value))}$"):
+        call(*args, **kwargs)
+
+
 class TestHessianDiag:
     def test_zero_mass_case(self):
         assert abs(hessian_diag(0.0, 0.0, 0.25, 0.5) - 1.5) <= 1e-12

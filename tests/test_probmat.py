@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -212,6 +213,21 @@ class TestCompositions:
     def test_budget(self):
         with pytest.raises(BudgetError):
             list(enumerate_size_compositions(100, 8, budget=100))
+        # every count is at least 1, so a budget below 1 is exceeded, as before
+        for budget in (0, -5):
+            with pytest.raises(BudgetError, match=f"exceeds budget {budget}$"):
+                enumerate_size_compositions(2, 2, budget)
+            with pytest.raises(BudgetError, match=f"exceeds budget {budget}$"):
+                _one_hot_label_stack(2, 2, budget)
+
+    @pytest.mark.parametrize("budget", [2.5, True, "10", None])
+    def test_non_integer_budget_rejected_naming_it(self, budget):
+        # before, 2.5 and True were compared with the count and "10" and None ended in a TypeError
+        message = f"^budget must be an integer, got {re.escape(repr(budget))}$"
+        with pytest.raises(ValueError, match=message):
+            enumerate_size_compositions(3, 3, budget)
+        with pytest.raises(ValueError, match=message):
+            _one_hot_label_stack(2, 2, budget)
 
 
 class TestSimplexProjection:

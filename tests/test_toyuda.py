@@ -155,6 +155,7 @@ class TestConfig:
             {"source_per_class": 1, "batch_size": 10},
             {"learning_rate": 0.0},
             {"momentum": 1.0},
+            {"seed": -1},
         ],
     )
     def test_rejects(self, kwargs):
