@@ -330,6 +330,7 @@ class SurfaceGrid:
 
 
 def surface(loss_cfg: LossConfig, grid: int = 201) -> SurfaceGrid:
+    _check_number("grid", grid, int)
     if not 2 <= grid <= 2001:
         raise ValueError(f"grid must be in [2, 2001], got {grid}")
     ticks = np.linspace(0.0, 1.0, grid)

@@ -187,6 +187,7 @@ def verify_theorem_2(
     one-hot rows within 1e-3.  Labeled evidence, not proof: the continuous
     space cannot be enumerated.
     """
+    _check_shape(n_rows, n_cols)
     _check_theorem_2_params(r, trials)
     cfg = _ascent_config(seed, ascent)
     rng = np.random.default_rng(seed)
@@ -336,6 +337,7 @@ def verify_theorem_6(
     (b) every other one-hot matrix falls strictly below it, and
     (c) multi-start continuous ascent reaches the bound within 1e-6.
     """
+    _check_shape(n_rows, n_cols)
     _check_number("r", r)
     _check_number("epsilon", epsilon)  # alpha's is in _check_theorem_4_5_params, before its range check
     if n_rows > n_cols:
@@ -346,7 +348,6 @@ def verify_theorem_6(
         raise ValueError(f"statement 6 requires epsilon > 0, got {epsilon}")
     _check_theorem_4_5_params(alpha, epsilon)  # alpha; epsilon > 0 already passes its check
     cfg = _ascent_config(seed, ascent)
-    balanced_sizes(n_rows, n_cols)  # the shape check of statements 1-5, before the enumeration
     stack, labels = _one_hot_label_stack(n_rows, n_cols, budget)
     values = _ns_stack(stack, r, alpha, epsilon)
     bound = 1.0 / alpha + epsilon * n_rows

@@ -26,8 +26,10 @@ there.  Neither CSV function loops in Python over cells.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+import operator
 from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -116,6 +118,7 @@ def class_sizes(P: np.ndarray) -> np.ndarray:
 
 def is_one_hot_rows(P: np.ndarray, tol: float = 0.0) -> bool:
     """True iff every row has one entry within ``tol`` of 1 and the rest within ``tol`` of 0."""
+    _check_number("tol", tol)
     if not 0.0 <= tol < 0.5:
         raise ValueError(f"tol must be in [0, 0.5), got {tol}")
     P = np.asarray(P, dtype=float)
@@ -130,6 +133,7 @@ def one_hot_matrix(labels, n_cols: int) -> np.ndarray:
     ``labels`` may have any leading shape: a (B,) vector gives one (B, C)
     matrix, an (S, B) stack of label rows the (S, B, C) stack of matrices.
     """
+    _check_number("n_cols", n_cols, int)
     labels = np.asarray(labels, dtype=int)
     mat = np.zeros(labels.shape + (n_cols,))
     mat.reshape(-1, n_cols)[np.arange(labels.size), labels.ravel()] = 1.0
@@ -142,21 +146,18 @@ def enumerate_size_compositions(
     """Yield all ``parts``-tuples of non-negative integers summing to ``total``.
 
     Lexicographic ascending order, e.g. (0, 2), (1, 1), (2, 0) for 2 into 2.
+    A stars-and-bars walk: ``itertools.combinations_with_replacement`` places
+    the ``parts - 1`` bars by the stars before each, in the same order, and a
+    part is the stars between two bars.  No frame is kept per part.
     """
+    _check_number("total", total, int)
+    _check_number("parts", parts, int)
     _check_number("budget", budget, int)
     count = math.comb(total + parts - 1, parts - 1)
     if count > budget:
         raise BudgetError(f"{count} compositions of {total} into {parts} parts exceeds budget {budget}")
-
-    def rec(remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            yield (remaining,)
-            return
-        for head in range(remaining + 1):
-            for tail in rec(remaining - head, slots - 1):
-                yield (head,) + tail
-
-    return rec(total, parts)
+    cuts = itertools.combinations_with_replacement(range(total + 1), parts - 1)
+    return (tuple(map(operator.sub, (*cut, total), (0, *cut))) for cut in cuts)
 
 
 def project_rows(rows: np.ndarray) -> np.ndarray:

@@ -171,9 +171,9 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "theorem, b, c",
-        # theorem 6 at 3 x 1 stops earlier, at its own B <= C check
+        # statements 2 and 6 check the shape first, so theorem 6 at 3 x 1 names it before B <= C
         [("3", "0", "3"), ("3", "3", "1"), ("4", "0", "3"), ("4", "3", "1"), ("5", "0", "3"), ("5", "3", "1"),
-         ("6", "0", "3"), ("1", "-1", "2"), ("all", "3", "0")],
+         ("6", "0", "3"), ("6", "3", "1"), ("2", "0", "3"), ("1", "-1", "2"), ("all", "3", "0")],
     )
     def test_bad_shape_is_one_error_line(self, theorem, b, c, tmp_path, capsys):
         out = tmp_path / "t.json"

@@ -324,6 +324,12 @@ class TestSurface:
         grid = surface(LossConfig("ms"), 2)
         assert grid.values.size == 4
 
+    @pytest.mark.parametrize("grid", [2.5, "3", None])
+    def test_non_integer_grid_rejected_naming_it(self, grid):
+        # before, the range check or numpy ended these in a TypeError
+        with pytest.raises(ValueError, match=f"^grid must be an integer, got {grid!r}$"):
+            surface(LossConfig("ms"), grid)
+
     def test_point_count_and_order(self):
         grid = surface(LossConfig("ms"), 3)
         assert grid.values.size == 9

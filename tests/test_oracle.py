@@ -79,6 +79,22 @@ class TestBalancedSizes:
         with pytest.raises(ValueError, match="^n_rows must be an integer, got 2.0$"):
             verify_theorem_1(2.0, 3)
 
+    @pytest.mark.parametrize(
+        "call, args, name, value",
+        [
+            (verify_theorem_2, ("3", 2, 0.5), "n_rows", "3"),
+            (verify_theorem_2, (None, 2, 0.5), "n_rows", None),
+            (verify_theorem_6, ("3", 4, 0.5, 1.0, 1e-6), "n_rows", "3"),
+            (verify_theorem_6, (None, 4, 0.5, 1.0, 1e-6), "n_rows", None),
+            (verify_theorem_6, (2, "4", 0.5, 1.0, 1e-6), "n_cols", "4"),
+        ],
+        ids=["2_rows_str", "2_rows_none", "6_rows_str", "6_rows_none", "6_cols_str"],
+    )
+    def test_statements_2_and_6_check_their_shape_first(self, call, args, name, value):
+        # before, statement 2's curvature sampling and statement 6's B <= C check ended these in a TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            call(*args)
+
 
 @pytest.mark.parametrize(
     "call, args, kwargs, name, value",
@@ -150,6 +166,13 @@ class TestTheorem1:
         with pytest.raises(BudgetError):
             verify_theorem_1(40, 5, budget=10)
 
+    def test_one_row_over_1200_classes(self):
+        # before, the recursive composition walk raised RecursionError here
+        rep = verify_theorem_1(1, 1200)
+        assert rep.verdict == "pass"
+        assert rep.argmax == [[0] * 1199 + [1]]
+        assert rep.params["svd_crosscheck_matrices"] == 1200
+
 
 class TestTheorem2:
     def test_passes(self):
@@ -194,6 +217,12 @@ class TestTheorem3:
         rep = verify_theorem_3(n_rows, n_cols, r)
         assert rep.verdict == "pass"
         assert rep.argmax == [argmax]
+
+    def test_one_row_over_1200_classes(self):
+        # before, the recursive composition walk raised RecursionError here
+        rep = verify_theorem_3(1, 1200, 0.5)
+        assert rep.verdict == "pass"
+        assert rep.argmax == [[0] * 1199 + [1]]
 
     def test_r1_descriptive(self):
         rep = verify_theorem_3(5, 3, 1.0)

@@ -160,9 +160,21 @@ class TestOneHot:
         with pytest.raises(ValueError):
             is_one_hot_rows(EXAMPLES_4X2["P1"], tol=0.5)
 
+    @pytest.mark.parametrize("tol", ["0.1", None])
+    def test_non_number_tol_rejected_naming_it(self, tol):
+        # before, the range check ended in a TypeError
+        with pytest.raises(ValueError, match=f"^tol must be a number, got {re.escape(repr(tol))}$"):
+            is_one_hot_rows(EXAMPLES_4X2["P1"], tol)
+
     def test_one_hot_matrix_builder(self):
         mat = one_hot_matrix([2, 0], 3)
         assert np.array_equal(mat, [[0, 0, 1], [1, 0, 0]])
+
+    @pytest.mark.parametrize("labels, n_cols", [([0], True), ([0], "2"), ([0, 1], 2.5)])
+    def test_non_integer_n_cols_rejected_naming_it(self, labels, n_cols):
+        # before, numpy ended these in a TypeError
+        with pytest.raises(ValueError, match=f"^n_cols must be an integer, got {re.escape(repr(n_cols))}$"):
+            one_hot_matrix(labels, n_cols)
 
     def test_label_stack_matches_rows(self, rng):
         labels = rng.integers(0, 4, size=(50, 6))
@@ -199,6 +211,16 @@ class TestEnumerateOneHot:
             _one_hot_label_stack(12, 4, budget=1000)
 
 
+def _recursive_compositions(total, parts):
+    """The recursive generator the stars-and-bars walk replaced, kept as its reference."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _recursive_compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
 class TestCompositions:
     def test_2_into_2(self):
         assert list(enumerate_size_compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
@@ -219,6 +241,31 @@ class TestCompositions:
                 enumerate_size_compositions(2, 2, budget)
             with pytest.raises(BudgetError, match=f"exceeds budget {budget}$"):
                 _one_hot_label_stack(2, 2, budget)
+
+    def test_walk_matches_the_recursive_reference(self):
+        for total in range(11):
+            for parts in range(1, 9):
+                assert list(enumerate_size_compositions(total, parts)) == list(_recursive_compositions(total, parts))
+        # a negative total has no composition once its count is defined, and none is yielded
+        for total, parts in [(-1, 2), (-1, 8), (-3, 4), (-7, 8)]:
+            assert list(enumerate_size_compositions(total, parts)) == list(_recursive_compositions(total, parts)) == []
+
+    def test_one_into_many_parts_keeps_no_frame_per_part(self):
+        # before, the recursion kept one frame per part and raised RecursionError here
+        got = list(enumerate_size_compositions(1, 1200))
+        assert len(got) == 1200
+        assert got[0] == (0,) * 1199 + (1,)
+        assert got[-1] == (1,) + (0,) * 1199
+        assert got == sorted(got)
+
+    @pytest.mark.parametrize(
+        "total, parts, name, value",
+        [(True, 2, "total", True), ("3", 2, "total", "3"), (3, 2.0, "parts", 2.0), (3, None, "parts", None)],
+    )
+    def test_non_integer_total_or_parts_rejected_naming_it(self, total, parts, name, value):
+        # before, a total of True was read as 1, and 2.0 or None for parts ended in a TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            enumerate_size_compositions(total, parts)
 
     @pytest.mark.parametrize("budget", [2.5, True, "10", None])
     def test_non_integer_budget_rejected_naming_it(self, budget):
