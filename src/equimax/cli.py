@@ -3,7 +3,7 @@
 Subcommands: eval, grad, verify, surface, optimize, toyuda, examples.
 Display output uses 6 significant digits; files carry full float64
 precision.  Exit codes: 0 success, 1 validation error (a usage error
-included), 2 budget or convergence error.
+included), 2 budget, convergence or out-of-memory error.
 """
 
 from __future__ import annotations
@@ -266,6 +266,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except (probmat.BudgetError, losses.ConvergenceError, toyuda.TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (probmat.DimensionError, probmat.DomainError, ZeroDivisionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

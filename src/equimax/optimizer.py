@@ -9,11 +9,11 @@ step.  The halving also absorbs non-ascent subgradient proposals from the
 nuclear-norm loss.  A step makes one loss-kernel call: the full-step
 candidates are scored together with their gradients, and a start that
 takes its candidate keeps that gradient for its next step.  The halved
-steps of the starts left over are scored in stacked rungs of depths 1,
-2-3, 4-7, ..., each start taking its first acceptable depth, as a
-one-depth-at-a-time ladder would.  A rung holds at most the larger of
-2**16 and inits * B * C entries, or one start's rung, and is scored a few
-starts at a time beyond that.  Every ``POLISH_EVERY`` steps each active
+steps of the starts left over, depths 1 to ``MAX_HALVINGS``, are scored
+as one stacked rung, each start taking its first acceptable depth, as a
+one-depth-at-a-time ladder would.  The rung is scored a few starts at a
+time, in parts of at most the larger of 2**16 and inits * B * C entries,
+or one start's depths.  Every ``POLISH_EVERY`` steps each active
 start is polished, and every start once more at the end: its rows snap to their
 argmax corners, and a steepest single-row relabel search then climbs over
 one-hot vertices, scoring each move by its class sizes alone.  The start
@@ -48,8 +48,8 @@ MAX_HALVINGS = 60
 POLISH_EVERY = 25
 RETIRE_REASONS = ("converged", "no improving step", "step cap")
 SURFACE_ARGMAX_TOL = 1e-6
-# entries one stacked rung of the halving ladder may hold, at least; a rung
-# over more starts than the larger of this and inits * B * C is scored in parts
+# entries one part of the halving ladder's stacked rung may hold, at least; the
+# rung is scored in parts of the larger of this and inits * B * C entries
 _RUNG_FLOATS = 2**16
 
 
@@ -117,9 +117,9 @@ def maximize(
     (it moved to a polished vertex or along the halving ladder) gets it in
     one call for all such starts at the start of the next step.  Depths 1
     to ``MAX_HALVINGS`` of the ladder are scored for the starts still
-    pending in stacked rungs of depths 1, 2-3, 4-7, ... (``_loss_values_stack``),
-    each of at most max(inits * B * C, 2**16) entries, or one start's rung,
-    and each start takes its first acceptable depth.  The kernels give a
+    pending as one stacked rung (``_loss_values_stack``), in parts of at
+    most max(inits * B * C, 2**16) entries, or one start's depths, and each
+    start takes its first acceptable depth.  The kernels give a
     matrix the same value bits with and without gradients and whatever stack
     it is in, so the result equals that of one kernel call per depth.
     Every ``POLISH_EVERY`` steps the active starts get a value-guarded
@@ -155,15 +155,13 @@ def maximize(
     for _ in range(MAX_HALVINGS):
         ladder.append(ladder[-1] / 2.0)
     ladder = np.array(ladder)
-    rung_floats = max(cfg.inits * n_rows * n_cols, _RUNG_FLOATS)
+    per = max(1, max(cfg.inits * n_rows * n_cols, _RUNG_FLOATS) // (MAX_HALVINGS * n_rows * n_cols))
 
     def polish(rows_sel: np.ndarray) -> None:
         # Snap each row to its argmax corner, then relabel single rows while
         # that raises the value.  Iterates chased towards extreme points by
         # large gradients can otherwise stall a hair away from them, and two
         # rows parked at (1/2, 1/2) on the same classes snap into one class.
-        if rows_sel.size == 0:
-            return
         labels = points[rows_sel].argmax(axis=2)
         _relabel_ascent(
             labels, n_cols, lambda sizes: _size_values(kind, sizes, r, alpha, eps)
@@ -194,11 +192,11 @@ def maximize(
         return took
 
     for outer in range(cfg.steps):
-        if outer and outer % POLISH_EVERY == 0:
-            polish(np.nonzero(active)[0])
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
+        if outer and outer % POLISH_EVERY == 0:
+            polish(idx)
         stale = idx[~known[idx]]
         if stale.size:
             uphill[stale] = -_loss_grads_stack(kind, points[stale], r, alpha, eps)[1]
@@ -220,30 +218,21 @@ def maximize(
         uphill[idx[took]] = -grads[took]
         pending = np.nonzero(~(ok | converged))[0]  # positions in idx
         halving_events += pending.size
-        # depths 1..MAX_HALVINGS in rungs 1, 2-3, 4-7, ...; a start settles at
-        # its first acceptable depth, as a one-depth-at-a-time ladder would
-        lo = 1
-        while pending.size and lo <= MAX_HALVINGS:
-            steps = ladder[lo : min(2 * lo, MAX_HALVINGS + 1)]
-            per = max(1, rung_floats // (steps.size * n_rows * n_cols))
-            left = []
-            for first in range(0, pending.size, per):
-                part = pending[first : first + per]
-                cands = project_rows(current[part][:, None] + steps[:, None, None] * direction[part][:, None])
-                flat = cands.reshape(-1, n_rows, n_cols)
-                rung_vals = -_loss_values_stack(kind, flat, r, alpha, eps).reshape(part.size, -1)
-                ok = rung_vals >= cur_vals[part][:, None] - ACCEPT_TOL
-                hit = ok.any(axis=1)
-                at = (np.arange(part.size), ok.argmax(axis=1))
-                took = settle(idx[part], current[part], hit, cands[at], rung_vals[at])
-                known[idx[part[took]]] = False
-                left.append(part[~hit])
-            pending = np.concatenate(left)
-            lo *= 2
-        if pending.size:
-            # no improving step at any scale: a local maximum of the
-            # projection arc, so these starts are finished
-            retire(idx[pending], "no improving step")
+        # depths 1..MAX_HALVINGS in one rung, a few starts at a time: a start
+        # settles at its first acceptable depth, as a one-depth-at-a-time
+        # ladder would, and one with none is at a local maximum of the
+        # projection arc, so it is finished
+        for first in range(0, pending.size, per):
+            part = pending[first : first + per]
+            cands = project_rows(current[part][:, None] + ladder[1:, None, None] * direction[part][:, None])
+            flat = cands.reshape(-1, n_rows, n_cols)
+            rung_vals = -_loss_values_stack(kind, flat, r, alpha, eps).reshape(part.size, -1)
+            ok = rung_vals >= cur_vals[part][:, None] - ACCEPT_TOL
+            hit = ok.any(axis=1)
+            at = (np.arange(part.size), ok.argmax(axis=1))
+            took = settle(idx[part], current[part], hit, cands[at], rung_vals[at])
+            known[idx[part[took]]] = False
+            retire(idx[part[~hit]], "no improving step")
 
     polish(np.arange(cfg.inits))
 

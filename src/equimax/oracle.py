@@ -281,12 +281,14 @@ def verify_theorem_4_5(
     (a) exhaustive composition search for the argmin of the squared-size
     sum; (b) optionally, multi-start ascent evidence that the continuous
     optimum has one-hot rows (the statement-4 side).  ``theorem_id`` labels
-    the report 4 or 5; the computation is shared.
+    the report 4 or 5; the computation is shared.  ``seed`` and ``ascent`` are
+    checked whether or not the ascent runs.
     """
     _check_theorem_4_5_params(alpha, epsilon)
+    _check_number("theorem_id", theorem_id, int)
     if theorem_id not in (4, 5):
         raise ValueError(f"theorem_id must be 4 or 5, got {theorem_id}")
-    cfg = _ascent_config(seed, ascent) if run_ascent else None
+    cfg = _ascent_config(seed, ascent)
     # checks the shape before the enumeration, which would divide 0 by 0 at B = 0
     predicted = list(balanced_sizes(n_rows, n_cols))
     # the largest -sum_c size_c^2, which is exactly minus the smallest sum, since negation is exact

@@ -8,9 +8,10 @@ bytes; ``compare`` checks that on a grid of cases.
 
     PYTHONPATH=src python tests/ascent_reference.py
 
-runs the wide seeded grid (every kind, r from 0 to 1, B and C up to 8,
-plus 12 x 10 and 32 x 12), prints the case count and the mismatch count,
-and exits 1 on any mismatch.
+runs two seeded grids, the wide one (every kind, r from 0 to 1, B and C up
+to 8, plus 12 x 10 and 32 x 12) and the large-step one (step sizes 0.5 and
+2.0, B up to 6 and C up to 6, plus 12 x 10), prints each one's case count
+and mismatch count, and exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -169,10 +170,28 @@ def wide_grid():
                 yield loss_cfg, n_rows, n_cols, AscentConfig(inits=8, steps=200, seed=seeds.pop())
 
 
+def large_step_grid():
+    """Step sizes 0.5 and 2.0, which send many more starts down the halving ladder and
+    to its end: every kind at r in {0.25, 0.5, 1} (one r for ms and bnm), B 1-6 and
+    C 2-6 with one seed per shape, plus 12 x 10."""
+    seeds = np.random.default_rng(20330).integers(0, 2**31, size=4096).tolist()
+    for step_size in (0.5, 2.0):
+        for kind in LOSS_KINDS:
+            for r in (0.25, 0.5, 1.0) if kind in ("cwsm", "nsm") else (0.5,):
+                loss_cfg = LossConfig(kind, r=r)
+                shapes = [(b, c) for b in range(1, 7) for c in range(2, 7)] + [(12, 10)]
+                for n_rows, n_cols in shapes:
+                    cfg = AscentConfig(inits=8, steps=200, step_size=step_size, seed=seeds.pop())
+                    yield loss_cfg, n_rows, n_cols, cfg
+
+
 if __name__ == "__main__":
-    count, mismatches, paths = compare(wide_grid())
-    print(f"{count} cases, {len(mismatches)} mismatches; reference took "
-          f"{paths['null_moves']} null moves and {paths['ladder_ends']} full ladders")
-    for case in mismatches:
-        print("mismatch:", case)
-    sys.exit(1 if mismatches else 0)
+    failed = False
+    for name, grid in (("wide", wide_grid()), ("large-step", large_step_grid())):
+        count, mismatches, paths = compare(grid)
+        print(f"{name} grid: {count} cases, {len(mismatches)} mismatches; reference took "
+              f"{paths['null_moves']} null moves and {paths['ladder_ends']} full ladders")
+        for case in mismatches:
+            print("mismatch:", case)
+        failed = failed or bool(mismatches)
+    sys.exit(1 if failed else 0)

@@ -197,6 +197,18 @@ class TestVerify:
         monkeypatch.setattr(cli.oracle, "verify_theorem_1", fake)
         assert run(["verify", "--theorem", "1", "--b", "2", "--c", "2", "--out", str(tmp_path / "f.json")]) == 1
 
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        import equimax.cli as cli
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 12.9 GiB")
+
+        monkeypatch.setattr(cli.oracle, "verify_theorem_4_5", out_of_memory)
+        out = tmp_path / "m.json"
+        assert run(["verify", "--theorem", "5", "--b", "1", "--c", "1200", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: out of memory: Unable to allocate 12.9 GiB"]
+        assert not out.exists()
+
 
 class TestSurface:
     def test_bnm_csv_and_sidecar(self, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from equimax import optimizer
 from equimax.losses import LOSS_KINDS, LossConfig, _loss_values_stack, gradient, loss_value
 from equimax.optimizer import (
+    MAX_HALVINGS,
     RETIRE_REASONS,
     AscentConfig,
     SurfaceGrid,
@@ -185,9 +186,9 @@ class TestRetire:
 
 
 class TestAgainstSequentialHalving:
-    """``maximize`` scores its halving ladder in stacked rungs; the reference
-    (``ascent_reference``) halves one depth per kernel call.  Every field of
-    the result has the same bytes."""
+    """``maximize`` scores its halving ladder as one stacked rung of depths 1
+    to ``MAX_HALVINGS``; the reference (``ascent_reference``) halves one depth
+    per kernel call.  Every field of the result has the same bytes."""
 
     CASES = [
         (LossConfig("nsm", r=0.5), 3, 4, AscentConfig()),  # starts end after MAX_HALVINGS halvings
@@ -209,10 +210,33 @@ class TestAgainstSequentialHalving:
         assert paths["null_moves"] > 0 and paths["ladder_ends"] > 0
 
     def test_same_result_bytes_in_split_rungs(self, monkeypatch):
-        # a rung over more than inits * B * C entries is scored a few starts at a time
+        # the rung over more than inits * B * C entries is scored a few starts at a
+        # time, here one start's depths per part
         monkeypatch.setattr(optimizer, "_RUNG_FLOATS", 1)
         count, mismatches, _ = compare(self.CASES[:4])
         assert (count, mismatches) == (4, [])
+
+    def test_same_result_bytes_in_parts_of_several_starts(self, monkeypatch):
+        # parts of three starts each: within one part some starts settle, some
+        # retire on a null move or after the full ladder
+        sizes = set()
+        values_stack = optimizer._loss_values_stack
+
+        def spy(kind, stack, *args):
+            sizes.add(stack.shape[0])
+            return values_stack(kind, stack, *args)
+
+        monkeypatch.setattr(optimizer, "_loss_values_stack", spy)
+        cases = self.CASES[:2] + [(LossConfig("nsm", r=0.5), 5, 4, AscentConfig(inits=16, steps=150, step_size=0.5))]
+        paths = {"null_moves": 0, "ladder_ends": 0}
+        for case in cases:
+            monkeypatch.setattr(optimizer, "_RUNG_FLOATS", 3 * MAX_HALVINGS * case[1] * case[2])
+            count, mismatches, taken = compare([case])
+            assert (count, mismatches) == (1, [])
+            for key in paths:
+                paths[key] += taken[key]
+        assert 3 * MAX_HALVINGS in sizes
+        assert paths["null_moves"] > 0 and paths["ladder_ends"] > 0
 
 
 class TestRelabelSearch:

@@ -266,6 +266,22 @@ class TestTheorem45:
         with pytest.raises(ValueError):
             verify_theorem_4_5(4, 2, 1.0, 0.0, theorem_id=3)
 
+    def test_theorem_id_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=r"^theorem_id must be an integer, got 4\.0$"):
+            verify_theorem_4_5(4, 2, 1.0, 0.0, run_ascent=False, theorem_id=4.0)
+
+    @pytest.mark.parametrize(
+        "seed, ascent, message",
+        [
+            ("x", None, "^seed must be an integer, got 'x'$"),
+            (-1, None, "^seed must be >= 0, got -1$"),
+            (7, AscentConfig(seed=8), "^ascent seed 8 differs from seed 7"),
+        ],
+    )
+    def test_seed_checked_without_the_ascent(self, seed, ascent, message):
+        with pytest.raises(ValueError, match=message):
+            verify_theorem_4_5(4, 2, 1.0, 0.0, seed=seed, ascent=ascent, run_ascent=False)
+
     def test_alpha_guard(self):
         with pytest.raises(ValueError):
             verify_theorem_4_5(4, 2, 0.0, 0.0)
