@@ -48,10 +48,12 @@ within the call, and BLAS stays on the one thread it is pinned to.
 
 Output bits are pinned per host, with BLAS on one thread.  A multi-threaded
 BLAS may split matrix products differently, and numpy picks its ``power``
-loop by the CPU features it finds, so ``power`` (``cwsm``, the ``ns`` pair
-term and its gradient weights) can round differently on another host.
-``sqrt`` is correctly rounded everywhere, so the ``ns`` pair term at r = 1/2
-takes it.
+loop by the CPU features it finds, so ``power`` (``cwsm`` and the ``ns``
+pair term) can round differently on another host.  The ``ns`` gradient
+weights are the pair term divided by the overlap, one more correctly
+rounded operation, so they call no ``power`` of their own.  ``sqrt`` is
+correctly rounded everywhere, so the ``ns`` pair term at r = 1/2 takes it,
+and the ``ns`` value and gradient there call no ``power`` at all.
 
 The SVD is a deterministic, seed-free one-sided Jacobi rather than a library
 call, so it does not depend on a LAPACK build and the nuclear-norm path
@@ -648,34 +650,39 @@ def _cwsm(stack: np.ndarray, r: float, want_grad: bool) -> tuple[np.ndarray, np.
 
 def _pair_blocks(part: np.ndarray, grad_rows: np.ndarray | None, r: float, block: int, starts: range) -> list:
     """(pair-term sum, diagonal sum) of each row block of the matrix or group ``part`` that begins at
-    one of ``starts``; with ``grad_rows``, the block's rows of W @ P are written there."""
+    one of ``starts``; with ``grad_rows``, the block's rows of W @ P are written there, with
+    W = term / overlap taken from the block's pair term, so a block holds two arrays at most."""
     trans = part.swapaxes(-1, -2)
     n_rows = part.shape[-2]
     sums = []
     for start in starts:
         overlap = np.matmul(part[..., start : start + block, :], trans)
         np.maximum(overlap, 0.0, out=overlap)
-        if grad_rows is not None:
-            if overlap.size and overlap.min() > _PAIR_GRAD_FLOOR:
-                # no overlap to mask: plain power, same bits as the masked one
-                weights = np.power(overlap, r - 1.0)
-            else:
-                weights = np.zeros_like(overlap)
-                np.power(overlap, r - 1.0, where=overlap > _PAIR_GRAD_FLOOR, out=weights)
-            # W_ii for the block's rows i: every (n_rows + 1)-th entry of each matrix's flat weights
-            weights.reshape(*weights.shape[:-2], -1)[..., start :: n_rows + 1] = 0.0
-            np.matmul(weights, part, out=grad_rows[..., start : start + block, :])
+        # the pair term overwrites the overlaps unless the weights still divide by them
+        out = overlap if grad_rows is None else None
         if r == 0.0:
-            overlap = overlap > 0.0
+            term = overlap > 0.0
         elif r == 0.5:
             # correctly rounded at half the cost of power; `overlap **= 0.5` takes this path too
-            np.sqrt(overlap, out=overlap)
+            term = np.sqrt(overlap, out=out)
         else:
-            np.power(overlap, r, out=overlap)
+            term = np.power(overlap, r, out=out)
         # a strided view, so each matrix's diagonal is summed pairwise along its own row, as a
         # lone matrix's is; a fancy-indexed diagonal of a stack comes out transposed and is
         # summed in sequence, with other bits
-        sums.append((overlap.sum(axis=(-2, -1)), overlap.diagonal(start, -2, -1).sum(axis=-1)))
+        sums.append((term.sum(axis=(-2, -1)), term.diagonal(start, -2, -1).sum(axis=-1)))
+        if grad_rows is not None:
+            # W = overlap^(r-1) = term / overlap, written over the pair term
+            if overlap.size and overlap.min() > _PAIR_GRAD_FLOOR:
+                # no overlap to mask: plain divide, same bits as the masked one
+                weights = np.divide(term, overlap, out=term)
+            else:
+                keep = overlap > _PAIR_GRAD_FLOOR
+                weights = np.divide(term, overlap, where=keep, out=term)
+                weights[~keep] = 0.0
+            # W_ii for the block's rows i: every (n_rows + 1)-th entry of each matrix's flat weights
+            weights.reshape(*weights.shape[:-2], -1)[..., start :: n_rows + 1] = 0.0
+            np.matmul(weights, part, out=grad_rows[..., start : start + block, :])
     return sums
 
 
@@ -706,10 +713,13 @@ def _nsm(
     O(BC) closed form at r = 1.  Otherwise one row-blocked pass over the
     overlaps adds it up together with the gradient rows 2r * W @ P, where
     W_ij = overlap_ij^(r-1) for i != j.  At r = 1/2 the pair term is taken
-    with ``sqrt``, which is correctly rounded.  A block whose overlaps all
-    lie above _PAIR_GRAD_FLOOR gets W from a plain ``power``; only a block
-    with an overlap at or below it takes the masked ``power``, which leaves
-    those weights at 0.  Each block's W @ P lands in its rows of the
+    with ``sqrt``, which is correctly rounded.  W is the pair term divided
+    by the overlap, within about 1 eps of overlap^(r-1) for overlaps down to
+    1e-299 (a ``power`` with exponent r - 1 loses up to 86 eps at r = 0.1,
+    where r - 1 rounds), and costs no second ``power``.  A block whose
+    overlaps all lie above _PAIR_GRAD_FLOOR gets W from a plain divide; only
+    a block with an overlap at or below it takes the masked divide, which
+    leaves those weights at 0.  Each block's W @ P lands in its rows of the
     gradient, which is scaled by 2r once after the loop.  A stack's pass
     walks :func:`_groups` of matrices, and each matrix gets a lone matrix's
     row blocks, so each row of a stack's result has a lone matrix's bits.
@@ -719,8 +729,8 @@ def _nsm(
     A matrix of more than 1024 rows (_SPLIT_OVERLAPS overlaps) on a host
     where the process may use several CPUs deals its blocks round-robin to
     the calling thread and up to _CPUS - 1 per-call threads (:func:`_dealt`); numpy
-    releases the interpreter lock inside each block's matmul, ``power`` and
-    ``sqrt``.  Every block runs the same operations either way and its sums
+    releases the interpreter lock inside each block's matmul, ``power``,
+    ``sqrt`` and divide.  Every block runs the same operations either way and its sums
     are added into the pair sum in block order, so the bytes do not depend
     on the CPU count.  Each extra worker keeps one block's overlaps and
     weights, about 1 MB, live; BLAS stays on one thread.

@@ -783,10 +783,10 @@ class TestNs:
 
 
 def _nsm_reference(stack, r, alpha, epsilon, want_grad):
-    """The fractional-r nsm kernel before sqrt at r = 1/2, the unmasked power, the in-place
+    """The fractional-r nsm kernel before sqrt at r = 1/2, the unmasked divide, the in-place
     gradient rows and the groups of a stack's matrices: the byte reference for losses._nsm.
     It takes each block's diagonal as a strided view, as the kernel does, so a stack row
-    has a lone matrix's bits."""
+    has a lone matrix's bits, and its weights as overlap**r / overlap, masked at the floor."""
     n_rows = stack.shape[-2]
     squares = losses._squares_stack(stack)
     block = max(1, min(n_rows, 65536 // n_rows))
@@ -799,18 +799,15 @@ def _nsm_reference(stack, r, alpha, epsilon, want_grad):
         np.maximum(overlap, 0.0, out=overlap)
         span = rows[start : start + block]
         diag = (..., span - start, span)
+        # numpy's power operator takes sqrt at r = 0.5, so the reference has the same bits on every host
+        term = overlap > 0.0 if r == 0.0 else overlap**r
         if want_grad and r > 0.0:
             weights = np.zeros_like(overlap)
-            np.power(overlap, r - 1.0, where=overlap > losses._PAIR_GRAD_FLOOR, out=weights)
+            np.divide(term, overlap, where=overlap > losses._PAIR_GRAD_FLOOR, out=weights)
             weights[diag] = 0.0
             d_pair[..., start : start + block, :] = 2.0 * r * np.matmul(weights, stack)
-        if r == 0.0:
-            overlap = overlap > 0.0
-        else:
-            # numpy's in-place power takes sqrt at r = 0.5, so the reference has the same bits on every host
-            overlap **= r
-        pair_sum += overlap.sum(axis=(-2, -1))
-        pair_sum -= overlap.diagonal(start, -2, -1).sum(axis=-1)
+        pair_sum += term.sum(axis=(-2, -1))
+        pair_sum -= term.diagonal(start, -2, -1).sum(axis=-1)
     denom = pair_sum + alpha * squares
     if np.any(denom < losses._DENOM_TOL):
         raise ZeroDivisionError(
@@ -867,7 +864,7 @@ class TestNsmPairPass:
         }
 
     @pytest.mark.parametrize("want_grad", [True, False])
-    @pytest.mark.parametrize("r", [0.0, 0.25, 0.5, 0.9])
+    @pytest.mark.parametrize("r", [0.0, 0.1, 0.25, 0.5, 0.9])
     def test_same_bytes_as_the_reference_loop(self, rng, r, want_grad):
         for name, stack in self._cases(rng).items():
             for alpha, epsilon in ((1.0, 1e-6), (2.0, 0.25), (0.0, 0.0)):
@@ -875,13 +872,55 @@ class TestNsmPairPass:
                 expect = self._outcome(_nsm_reference, stack, r, alpha, epsilon, want_grad)
                 assert got == expect, (name, r, alpha, epsilon, want_grad)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="long double is no wider than double here")
+    @pytest.mark.parametrize("masked", [False, True], ids=["plain", "masked"])
+    @pytest.mark.parametrize("r", [0.1, 0.25, 0.5, 0.9])
+    def test_gradient_weights_within_2_eps_of_long_double(self, rng, r, masked):
+        # rows [o, 1 - o] and [1, 0] overlap in exactly o, and the first row of W @ P is W times
+        # [1, 0], so it holds W = o^(r-1) with no rounding after W's own.  The weights from
+        # power(overlap, r - 1) missed this by 86 eps at r = 0.1, where r - 1 rounds in float64.
+        o = 10.0 ** rng.uniform(-299.0, 0.0, 100_000)
+        o[:3] = [1e-299, 1.0, 0.5]
+        pairs = np.stack([np.stack([o, 1.0 - o], -1), np.broadcast_to([1.0, 0.0], (o.size, 2))], 1)
+        if masked:  # one zero overlap sends the whole group through the masked weights
+            pairs = np.concatenate([pairs, [np.eye(2)]])
+        rows = np.empty_like(pairs)
+        losses._pair_blocks(pairs, rows, r, 2, range(0, 2, 2))
+        if masked:
+            assert rows[-1].tobytes() == np.zeros((2, 2)).tobytes()
+            rows = rows[:-1]
+        assert rows[:, 0, 1].tobytes() == np.zeros(o.size).tobytes()
+        exact = np.power(o.astype(np.longdouble), np.longdouble(r) - 1)  # r - 1 is exact in long double
+        err = np.abs(rows[:, 0, 0].astype(np.longdouble) - exact) / exact / np.finfo(float).eps
+        assert err.max() <= 2.0, (r, float(err.max()), o[err.argmax()])
+
+
+def _power_raises(*args, **kwargs):
+    raise AssertionError("np.power was called")
+
+
+@pytest.mark.parametrize("want_grad", [False, True])
+@pytest.mark.parametrize("shape", [(30, 3), (4, 40, 5), (1500, 6)], ids=str)
+def test_nsm_at_half_calls_no_power(rng, monkeypatch, shape, want_grad):
+    # at r = 1/2 the pair term is a square root and the weights divide it by the overlaps, so the
+    # bits do not depend on numpy's CPU-dispatched power loop; 1500 rows take the split pass
+    stack = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    lanes = []
+    dealt = losses._dealt
+    monkeypatch.setattr(losses, "_dealt", lambda task, starts, n: lanes.append(n) or dealt(task, starts, n))
+    monkeypatch.setattr(losses, "_CPUS", 2)
+    monkeypatch.setattr(np, "power", _power_raises)
+    values, grads = losses._nsm(stack, 0.5, 1.0, 1e-6, want_grad)
+    assert values.shape == shape[:-2] and (grads is None) != want_grad
+    assert max(lanes) == (2 if shape[0] > 1024 else 1)
+
 
 def _disjoint_rows(rng, n_rows, n_cols):
     """Flat Dirichlet rows, then 64 rows alternating between supports {0} and the other classes."""
     mat = random_matrix(rng, n_rows, n_cols)
     mat[-64::2] = np.eye(n_cols)[0]
     mat[-63::2] = np.r_[0.0, np.full(n_cols - 1, 1.0 / (n_cols - 1))]
-    assert (mat[-2:] @ mat.T).min() == 0.0  # the tail's blocks take the masked power, the others the plain one
+    assert (mat[-2:] @ mat.T).min() == 0.0  # the tail's blocks take the masked weights, the others the plain divide
     return mat
 
 
