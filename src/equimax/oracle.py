@@ -14,13 +14,13 @@ Six machine-checkable statements are covered:
    bound 1/alpha + epsilon*B exactly on matrices whose rows occupy pairwise
    distinct classes.
 
-Statements 1, 3 and 4/5 search class-size compositions, all through
-``_size_search``, the one place that chooses the searched size vectors: on
-one-hot matrices every implemented loss depends only on the multiset of
-class sizes (a property the test suite verifies by full enumeration), which
-turns an exponential search over C^B matrices into a polynomial one over
-compositions of B into C parts.  Statement 1 additionally cross-checks the
-dense SVD against the closed form on fully enumerated one-hot matrices.
+Statements 1, 3 and 4/5 search class-size compositions through
+``_size_report``, the one place that chooses the searched size vectors and
+builds the report: on one-hot matrices every loss depends only on the
+multiset of class sizes (a property the test suite verifies by full
+enumeration), which turns a search over C^B matrices into one over
+compositions of B into C parts.  Statement 1 also cross-checks the dense
+SVD against the closed form on fully enumerated one-hot matrices.
 
 Every report is reproducible: fixed seeds, deterministic enumeration order,
 ties listed in full and sorted.  A report's ``seed`` is the one its ascent
@@ -103,15 +103,24 @@ class TheoremReport:
         return dataclasses.asdict(self)
 
 
-def _size_search(n_rows: int, n_cols: int, budget: int, score, tol: float) -> tuple[float, list]:
-    """The best ``score`` over all class-size compositions, and the sorted
-    list of the size multisets (each ascending) that score within ``tol`` of it."""
-    comps = np.array(list(enumerate_size_compositions(n_rows, n_cols, budget)), dtype=float)
+def _size_report(theorem: int, n_rows: int, n_cols: int, score, tol: float, **params) -> TheoremReport:
+    """The report of statement ``theorem``: the balanced class sizes alone maximize ``score``.
+
+    ``score`` maps an (N, C) float array of all compositions of B into C
+    parts to N values.  ``argmax`` lists the size multisets (each ascending)
+    within ``tol`` of the best, sorted; the verdict is "pass" iff that is the
+    balanced multiset alone.  ``params`` name the ``budget`` and follow B, C.
+    """
+    predicted = list(balanced_sizes(n_rows, n_cols))  # the shape check, before the enumeration
+    comps = np.array(list(enumerate_size_compositions(n_rows, n_cols, params["budget"])), dtype=float)
     values = score(comps)
     best = float(values.max())
     hit = np.nonzero(np.abs(values - best) <= tol)[0]
-    multisets = {tuple(sorted(int(v) for v in comps[i])) for i in hit}
-    return best, [list(t) for t in sorted(multisets)]
+    argmax = [list(t) for t in sorted({tuple(sorted(int(v) for v in comps[i])) for i in hit})]
+    return TheoremReport(
+        theorem=theorem, params={"b": n_rows, "c": n_cols, **params}, argmax=argmax, optimum=best,
+        predicted=predicted, verdict="pass" if argmax == [predicted] else "fail", tolerance=tol, seed=None,
+    )
 
 
 def _ascent_config(seed: int, ascent: Optional[AscentConfig]) -> AscentConfig:
@@ -138,29 +147,17 @@ def verify_theorem_1(n_rows: int, n_cols: int, budget: int = DEFAULT_ENUM_BUDGET
     one-hot matrix that the dense-SVD nuclear norm matches the closed form
     within 1e-9, which justifies the composition-level search.
     """
-    predicted = list(balanced_sizes(n_rows, n_cols))
-    best, argmax = _size_search(n_rows, n_cols, budget, lambda comps: np.sqrt(comps).sum(axis=1), VALUE_TOL)
-    params = {"b": n_rows, "c": n_cols, "budget": budget}
-    crosscheck_ok = True
+    report = _size_report(1, n_rows, n_cols, lambda comps: np.sqrt(comps).sum(axis=1), VALUE_TOL, budget=budget)
     if n_rows <= CROSSCHECK_ROWS_LIMIT:
         stack, _ = _one_hot_label_stack(n_rows, n_cols, budget)
         dense = _singular_values_stack(stack).sum(axis=1)
         formula = np.sqrt(stack.sum(axis=1)).sum(axis=1)
         max_err = float(np.abs(dense - formula).max())
-        crosscheck_ok = max_err <= VALUE_TOL
-        params["svd_crosscheck_matrices"] = int(stack.shape[0])
-        params["svd_crosscheck_max_err"] = max_err
-    ok = argmax == [predicted] and crosscheck_ok
-    return TheoremReport(
-        theorem=1,
-        params=params,
-        argmax=argmax,
-        optimum=best,
-        predicted=predicted,
-        verdict="pass" if ok else "fail",
-        tolerance=VALUE_TOL,
-        seed=None,
-    )
+        report.params["svd_crosscheck_matrices"] = int(stack.shape[0])
+        report.params["svd_crosscheck_max_err"] = max_err
+        if not max_err <= VALUE_TOL:  # written so that NaN fails too
+            report.verdict = "fail"
+    return report
 
 
 def _check_theorem_2_params(r: float, trials: int) -> None:
@@ -235,25 +232,14 @@ def verify_theorem_3(
     _check_number("r", r)
     if not 0.0 < r <= 1.0:
         raise ValueError(f"statement 3 covers 0 < r < 1 (r = 1 descriptive), got r={r}")
-    predicted = list(balanced_sizes(n_rows, n_cols))  # the shape check at every r, before the enumeration
     # an empty class scores 0, also at r = 1, where 0 ** 0 would score it 1
-    best, argmax = _size_search(
-        n_rows, n_cols, budget, lambda comps: np.where(comps > 0, np.power(comps, 1.0 - r), 0.0).sum(axis=1), VALUE_TOL
+    report = _size_report(
+        3, n_rows, n_cols, lambda comps: np.where(comps > 0, np.power(comps, 1.0 - r), 0.0).sum(axis=1), VALUE_TOL,
+        r=r, budget=budget,
     )
     if r == 1.0:
-        predicted, verdict = None, "descriptive"
-    else:
-        verdict = "pass" if argmax == [predicted] else "fail"
-    return TheoremReport(
-        theorem=3,
-        params={"b": n_rows, "c": n_cols, "r": r, "budget": budget},
-        argmax=argmax,
-        optimum=best,
-        predicted=predicted,
-        verdict=verdict,
-        tolerance=VALUE_TOL,
-        seed=None,
-    )
+        report.predicted, report.verdict = None, "descriptive"
+    return report
 
 
 def _check_theorem_4_5_params(alpha: float, epsilon: float) -> None:
@@ -289,37 +275,21 @@ def verify_theorem_4_5(
     if theorem_id not in (4, 5):
         raise ValueError(f"theorem_id must be 4 or 5, got {theorem_id}")
     cfg = _ascent_config(seed, ascent)
-    # checks the shape before the enumeration, which would divide 0 by 0 at B = 0
-    predicted = list(balanced_sizes(n_rows, n_cols))
     # the largest -sum_c size_c^2, which is exactly minus the smallest sum, since negation is exact
-    neg_sq, argmin = _size_search(n_rows, n_cols, budget, lambda comps: -np.einsum("nc,nc->n", comps, comps), 0.0)
-    optimum = n_rows / (-neg_sq + (alpha - 1.0) * n_rows) + epsilon * n_rows
-    params = {
-        "b": n_rows,
-        "c": n_cols,
-        "alpha": alpha,
-        "epsilon": epsilon,
-        "budget": budget,
-        "run_ascent": bool(run_ascent),
-        "evidence": bool(run_ascent),
-    }
-    ok = argmin == [predicted]
+    report = _size_report(
+        theorem_id, n_rows, n_cols, lambda comps: -np.einsum("nc,nc->n", comps, comps), 0.0,
+        alpha=alpha, epsilon=epsilon, budget=budget, run_ascent=bool(run_ascent), evidence=bool(run_ascent),
+    )
+    report.optimum = float(n_rows / (-report.optimum + (alpha - 1.0) * n_rows) + epsilon * n_rows)
     if run_ascent:
         result = maximize(LossConfig("nsm", r=1.0, alpha=alpha, epsilon=epsilon), n_rows, n_cols, cfg)
         one_hot = is_one_hot_rows(result.best_matrix, ONE_HOT_TOL)
-        params["ascent_value"] = result.best_value
-        params["ascent_one_hot"] = bool(one_hot)
-        ok = ok and one_hot
-    return TheoremReport(
-        theorem=theorem_id,
-        params=params,
-        argmax=argmin,
-        optimum=float(optimum),
-        predicted=predicted,
-        verdict="pass" if ok else "fail",
-        tolerance=ONE_HOT_TOL if run_ascent else 0.0,
-        seed=seed if run_ascent else None,
-    )
+        report.params["ascent_value"] = result.best_value
+        report.params["ascent_one_hot"] = bool(one_hot)
+        if not one_hot:
+            report.verdict = "fail"
+        report.tolerance, report.seed = ONE_HOT_TOL, seed
+    return report
 
 
 def verify_theorem_6(

@@ -132,9 +132,14 @@ def one_hot_matrix(labels, n_cols: int) -> np.ndarray:
 
     ``labels`` may have any leading shape: a (B,) vector gives one (B, C)
     matrix, an (S, B) stack of label rows the (S, B, C) stack of matrices.
+    Every label must be a class index 0..C-1; a negative one does not wrap.
     """
     _check_number("n_cols", n_cols, int)
+    if n_cols < 1:
+        raise ValueError(f"n_cols must be >= 1, got {n_cols}")
     labels = np.asarray(labels, dtype=int)
+    if labels.size and not 0 <= labels.min() <= labels.max() < n_cols:
+        raise ValueError(f"labels must lie in 0..{n_cols - 1}, got {labels.min()}..{labels.max()}")
     mat = np.zeros(labels.shape + (n_cols,))
     mat.reshape(-1, n_cols)[np.arange(labels.size), labels.ravel()] = 1.0
     return mat
@@ -148,15 +153,18 @@ def enumerate_size_compositions(
     Lexicographic ascending order, e.g. (0, 2), (1, 1), (2, 0) for 2 into 2.
     A stars-and-bars walk: ``itertools.combinations_with_replacement`` places
     the ``parts - 1`` bars by the stars before each, in the same order, and a
-    part is the stars between two bars.  No frame is kept per part.
+    part is the stars between two bars.  No frame is kept per part.  A
+    negative ``total`` has no composition, and ``parts`` must be >= 1.
     """
     _check_number("total", total, int)
     _check_number("parts", parts, int)
     _check_number("budget", budget, int)
-    count = math.comb(total + parts - 1, parts - 1)
+    if parts < 1:
+        raise ValueError(f"parts must be >= 1, got {parts}")
+    count = math.comb(total + parts - 1, parts - 1) if total >= 0 else 0
     if count > budget:
         raise BudgetError(f"{count} compositions of {total} into {parts} parts exceeds budget {budget}")
-    cuts = itertools.combinations_with_replacement(range(total + 1), parts - 1)
+    cuts = itertools.combinations_with_replacement(range(total + 1), parts - 1) if count else ()
     return (tuple(map(operator.sub, (*cut, total), (0, *cut))) for cut in cuts)
 
 

@@ -229,6 +229,9 @@ class TestTheorem3:
         assert rep.verdict == "descriptive"
         assert rep.predicted is None
         assert rep.optimum == 3.0  # number of non-empty classes maxes at min(B, C)
+        # every multiset with no empty class fills min(B, C) classes
+        assert rep.argmax == [[1, 1, 3], [1, 2, 2]]
+        assert (rep.tolerance, rep.seed) == (1e-9, None)
 
     def test_invalid_r(self):
         with pytest.raises(ValueError):
@@ -259,6 +262,7 @@ class TestTheorem45:
         assert rep.verdict == "pass"
         assert rep.argmax == [[1, 1, 2, 2]]
         assert "ascent_value" not in rep.params
+        assert (rep.tolerance, rep.seed) == (0.0, None)
 
     def test_theorem_id(self):
         rep = verify_theorem_4_5(4, 2, 1.0, 0.0, run_ascent=False, theorem_id=4)
@@ -321,6 +325,81 @@ class TestTheorem45:
         message = f"^need n_rows >= 1 and n_cols >= 2, got {n_rows}, {n_cols}$"
         with pytest.raises(ValueError, match=message):
             verify_theorem_4_5(n_rows, n_cols, 1.0, 0.0, theorem_id=theorem_id)
+
+
+class TestSizeReportPerStatement:
+    """Statements 1, 3 and 4/5 share one composition search and report; each adds what is its own."""
+
+    @pytest.mark.parametrize("offset", [2e-9, float("nan")])
+    def test_statement_1_fails_on_its_svd_crosscheck_alone(self, offset, monkeypatch):
+        import equimax.oracle as oracle
+
+        true_values = oracle._singular_values_stack
+        monkeypatch.setattr(oracle, "_singular_values_stack", lambda stack: true_values(stack) + offset)
+        rep = verify_theorem_1(4, 2)
+        assert rep.argmax == [rep.predicted] == [[2, 2]]  # the search alone passes
+        assert rep.verdict == "fail"
+        assert not rep.params["svd_crosscheck_max_err"] <= 1e-9
+
+    def test_statements_4_5_fail_on_a_non_one_hot_ascent(self, monkeypatch):
+        import types
+
+        import equimax.oracle as oracle
+
+        fake = types.SimpleNamespace(best_matrix=np.full((4, 2), 0.5), best_value=0.25)
+        monkeypatch.setattr(oracle, "maximize", lambda *args, **kwargs: fake)
+        rep = verify_theorem_4_5(4, 2, 1.0, 0.0, seed=7, ascent=AscentConfig(seed=7))
+        assert rep.argmax == [rep.predicted] == [[2, 2]]  # the search alone passes
+        assert rep.verdict == "fail"
+        assert (rep.params["ascent_one_hot"], rep.params["ascent_value"]) == (False, 0.25)
+        assert (rep.tolerance, rep.seed) == (1e-3, 7)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: verify_theorem_1(0, 3), "need n_rows >= 1 and n_cols >= 2, got 0, 3"),
+            (lambda: verify_theorem_1("3", 3), "n_rows must be an integer, got '3'"),
+            (lambda: verify_theorem_1(3, 1), "need n_rows >= 1 and n_cols >= 2, got 3, 1"),
+            (lambda: verify_theorem_3(0, 3, 0.5), "need n_rows >= 1 and n_cols >= 2, got 0, 3"),
+            (lambda: verify_theorem_3(3, 2.0, 0.5), "n_cols must be an integer, got 2.0"),
+            (lambda: verify_theorem_3(0, 3, 0.0), "statement 3 covers 0 < r < 1 (r = 1 descriptive), got r=0.0"),
+            (lambda: verify_theorem_3(3, 3, "1"), "r must be a number, got '1'"),
+            (lambda: verify_theorem_4_5(0, 3, 0.0, 0.0, run_ascent=False), "alpha must be > 0, got 0.0"),
+            (lambda: verify_theorem_4_5(0, 3, 1.0, 0.0, run_ascent=False, theorem_id=6),
+             "theorem_id must be 4 or 5, got 6"),
+            (lambda: verify_theorem_4_5(0, 3, 1.0, 0.0, seed=-1), "seed must be >= 0, got -1"),
+            (lambda: verify_theorem_4_5(2, 1, 1.0, 0.0, run_ascent=False), "need n_rows >= 1 and n_cols >= 2, got 2, 1"),
+        ],
+        ids=["1_rows_zero", "1_rows_str", "1_cols_one", "3_rows_zero", "3_cols_float", "3_r_before_shape", "3_r_str",
+             "4_5_alpha_before_shape", "4_5_id_before_shape", "4_5_seed_before_shape", "4_5_cols_one"],
+    )
+    def test_bad_input_raises_before_the_enumeration(self, call, message, monkeypatch):
+        import equimax.oracle as oracle
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("compositions enumerated")
+
+        monkeypatch.setattr(oracle, "enumerate_size_compositions", no_enumeration)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call, keys",
+        [
+            (lambda: verify_theorem_1(3, 2),
+             ["b", "c", "budget", "svd_crosscheck_matrices", "svd_crosscheck_max_err"]),
+            (lambda: verify_theorem_1(7, 2), ["b", "c", "budget"]),
+            (lambda: verify_theorem_3(3, 2, 0.5), ["b", "c", "r", "budget"]),
+            (lambda: verify_theorem_4_5(3, 2, 1.0, 0.0, run_ascent=False),
+             ["b", "c", "alpha", "epsilon", "budget", "run_ascent", "evidence"]),
+            (lambda: verify_theorem_4_5(3, 2, 1.0, 0.0, ascent=FAST_ASCENT),
+             ["b", "c", "alpha", "epsilon", "budget", "run_ascent", "evidence", "ascent_value", "ascent_one_hot"]),
+        ],
+        ids=["1_crosscheck", "1_no_crosscheck", "3", "4_5_no_ascent", "4_5_ascent"],
+    )
+    def test_params_keep_their_key_order(self, call, keys):
+        # the benchmark hashes repr(to_dict()), in which the key order shows
+        assert list(call().params) == keys
 
 
 class TestTheorem6:

@@ -176,6 +176,24 @@ class TestOneHot:
         with pytest.raises(ValueError, match=f"^n_cols must be an integer, got {re.escape(repr(n_cols))}$"):
             one_hot_matrix(labels, n_cols)
 
+    @pytest.mark.parametrize(
+        "labels, n_cols, message",
+        [
+            ([0, -1], 2, "labels must lie in 0..1, got -1..0"),  # before, -1 wrapped to the last class
+            ([0, 3], 2, "labels must lie in 0..1, got 0..3"),  # before, an IndexError
+            ([[0, 1], [2, -4]], 2, "labels must lie in 0..1, got -4..2"),
+            ([0], 0, "n_cols must be >= 1, got 0"),  # before, numpy's reshape ValueError
+            ([], -2, "n_cols must be >= 1, got -2"),
+        ],
+    )
+    def test_labels_it_cannot_place_rejected_naming_them(self, labels, n_cols, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            one_hot_matrix(labels, n_cols)
+
+    def test_labels_on_the_class_range_bounds(self):
+        assert np.array_equal(one_hot_matrix([0, 2, 1], 3), np.eye(3)[[0, 2, 1]])
+        assert one_hot_matrix(np.zeros((0, 4), dtype=int), 3).shape == (0, 4, 3)
+
     def test_label_stack_matches_rows(self, rng):
         labels = rng.integers(0, 4, size=(50, 6))
         stack = one_hot_matrix(labels, 4)
@@ -249,6 +267,13 @@ class TestCompositions:
         # a negative total has no composition once its count is defined, and none is yielded
         for total, parts in [(-1, 2), (-1, 8), (-3, 4), (-7, 8)]:
             assert list(enumerate_size_compositions(total, parts)) == list(_recursive_compositions(total, parts)) == []
+        # every negative total, also one whose count math.comb cannot take (it raised before), and one part,
+        # where the reference yields the total itself
+        for total in range(-12, 0):
+            for parts in range(1, 9):
+                assert list(enumerate_size_compositions(total, parts, budget=0)) == []
+                if parts > 1:
+                    assert list(_recursive_compositions(total, parts)) == []
 
     def test_one_into_many_parts_keeps_no_frame_per_part(self):
         # before, the recursion kept one frame per part and raised RecursionError here
@@ -265,6 +290,12 @@ class TestCompositions:
     def test_non_integer_total_or_parts_rejected_naming_it(self, total, parts, name, value):
         # before, a total of True was read as 1, and 2.0 or None for parts ended in a TypeError
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            enumerate_size_compositions(total, parts)
+
+    @pytest.mark.parametrize("total, parts", [(3, 0), (0, 0), (-5, 0), (3, -2)])
+    def test_parts_below_one_rejected_naming_it(self, total, parts):
+        # before, math.comb's "k must be a non-negative integer" (or "n must be ...")
+        with pytest.raises(ValueError, match=f"^parts must be >= 1, got {parts}$"):
             enumerate_size_compositions(total, parts)
 
     @pytest.mark.parametrize("budget", [2.5, True, "10", None])
